@@ -44,6 +44,13 @@ cargo run -q --release --offline --bin dws-cli -- \
 echo "== cargo test (tier-1) =="
 cargo test -q --release --workspace --offline
 
+echo "== golden timing table (named, release) =="
+# The timing model's own output — cycles, instructions, misses, DRAM
+# traffic, splits, merges and WST peak for every benchmark x fuzz policy —
+# must match tests/golden/timing_test.tsv exactly. Every engine-vs-engine
+# oracle below would miss a drift that hits both engines at once.
+cargo test -q --release --offline --test golden_timing
+
 echo "== tier-1 equivalence guards (named, release) =="
 # The event-driven run loop and the incremental scheduler must stay
 # bit-identical to their exhaustive counterparts; run these by name so a
