@@ -66,11 +66,13 @@ cargo test -q --release --offline -p dws-core --test uniform_hints_differential
 echo "== tier-1 robustness guards (named, release) =="
 # Chaos battery (fault plans x policies, sanitizer forced on) and sweep
 # panic isolation — the machine must fail loudly and precisely, never
-# hang or take sibling jobs down with it.
+# hang or take sibling jobs down with it. Small-L2 machines, whose L2
+# fills back-invalidate lines mid-access, must run to a verified result.
 cargo test -q --release --offline -p dws-sim --test chaos_invariants
 cargo test -q --release --offline -p dws-sim --test sweep_panic_isolation
 cargo test -q --release --offline -p dws-sim --test fuzz_harness
 cargo test -q --release --offline -p dws-sim --test corpus_replay
+cargo test -q --release --offline -p dws-sim --test small_l2_mshr
 
 echo "== tier-1 transform-equivalence guards (named, release) =="
 # Static control-flow melding must be semantics-preserving on the timed

@@ -452,8 +452,15 @@ impl MemorySystem {
 
             for (g, &(line, any_store)) in s.groups.iter().enumerate() {
                 self.stats.l1d_line_accesses.incr();
-                let state = self.l1s[l1].array.touch(line, s.group_info[g].1);
-                let is_hit = state.valid() && (!any_store || state.writable());
+                let (probed, way) = s.group_info[g];
+                let state = self.l1s[l1].array.touch(line, way);
+                // Hit or miss is decided by the tag probe at access time,
+                // which the feasibility check above counted MSHRs against.
+                // An earlier group's L2 fill may since have back-invalidated
+                // this line (`state` is then Invalid); the probe already
+                // read it, so it stays a hit rather than claiming an MSHR
+                // that was never reserved.
+                let is_hit = probed.valid() && (!any_store || probed.writable());
                 let lanes =
                     &s.group_lanes[s.group_start[g] as usize..s.group_start[g + 1] as usize];
                 if is_hit {
@@ -1109,6 +1116,28 @@ mod tests {
             last
         };
         assert!(m.warp_access(t, 0, &[load(0, 0x2000)]).is_some());
+    }
+
+    #[test]
+    fn back_invalidated_hit_claims_no_unreserved_mshr() {
+        // A one-line inclusive L2 and a one-entry MSHR file: the fresh miss
+        // on 0x1000 evicts 0x0 from the L2, which back-invalidates it in
+        // the requesting L1 mid-access. The feasibility check counted 0x0
+        // as a hit, so it must stay one instead of allocating a second MSHR.
+        let mut cfg = MemConfig::paper(1, 16);
+        cfg.l2.size_bytes = cfg.l2.line_bytes;
+        cfg.l2.assoc = 1;
+        cfg.l1d.mshrs = 1;
+        let mut m = MemorySystem::new(cfg);
+        m.warp_access(Cycle(0), 0, &[load(0, 0x0)]).unwrap();
+        let t = complete_all(&mut m)[0].at;
+        let out = m
+            .warp_access(t, 0, &[load(0, 0x1000), load(1, 0x8)])
+            .unwrap();
+        assert!(matches!(out[0].outcome, AccessOutcome::Miss { .. }));
+        assert!(matches!(out[1].outcome, AccessOutcome::Hit { .. }));
+        assert_eq!(m.mshr_in_use(0), 1);
+        assert_eq!(m.l1_line_state(0, 0x0), MesiState::Invalid);
     }
 
     #[test]
