@@ -58,7 +58,6 @@ echo "== tier-1 equivalence guards (named, release) =="
 cargo test -q --release --offline -p dws-sim --test zero_alloc_steady_state
 cargo test -q --release --offline -p dws-sim --test sweep_determinism
 cargo test -q --release --offline -p dws-sim --test event_equivalence
-cargo test -q --release --offline -p dws-sim --test parallel_equivalence
 cargo test -q --release --offline -p dws-core --test random_policies
 cargo test -q --release --offline -p dws-core --test uop_differential
 cargo test -q --release --offline -p dws-core --test uniform_hints_differential
@@ -84,8 +83,8 @@ cargo test -q --release --offline -p dws-isa --test dataflow_differential
 
 echo "== fuzz smoke (differential oracle battery, fixed seeds) =="
 # A short verifier-guided fuzz campaign across every oracle axis (all
-# policies vs the reference interpreter, stepped vs event-driven, parallel
-# vs serial, legacy engine vs µop, chaos vs zero-fault). Must be clean
+# policies vs the reference interpreter, stepped vs event-driven, legacy
+# engine vs µop, chaos vs zero-fault, melded vs unmelded). Must be clean
 # (exit 0; 7 = real divergence found) AND byte-identical across two runs —
 # the report embeds no wall-clock, so any diff is lost determinism. The
 # second run goes through the DWS_WATCHDOG_* env overrides to keep that

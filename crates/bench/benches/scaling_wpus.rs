@@ -1,10 +1,8 @@
 //! Scaling study: the 32/64/128-WPU `scaled` presets (8x/16x/32x the
-//! paper's 4-WPU machine). Two questions: does DWS's advantage over Conv
-//! survive when many more WPUs contend for the shared L2/DRAM, and how far
-//! does deterministic intra-run threading (`DWS_THREADS`, bit-identical to
-//! serial) cut the host wall-clock of one large machine. The DWS runs are
-//! executed twice — serial and threaded — and their cycle counts asserted
-//! equal, so the speedup column is measured on verified-identical work.
+//! paper's 4-WPU machine). Does DWS's advantage over Conv survive when many
+//! more WPUs contend for the shared L2/DRAM, and what host wall-clock does
+//! one large machine cost? Each machine runs on one host thread; the
+//! host-seconds column sums the DWS runs over all benchmarks.
 
 use dws_bench::{build_shared, f2, hmean, run, Table};
 use dws_core::Policy;
@@ -12,32 +10,14 @@ use dws_sim::presets::{scaled, scaling_wpu_counts};
 use std::time::Instant;
 
 fn main() {
-    let threads = {
-        let env = dws_sim::default_threads();
-        if env > 1 {
-            env
-        } else {
-            std::thread::available_parallelism()
-                .map_or(1, std::num::NonZero::get)
-                .clamp(2, 4)
-        }
-    };
     let benches = dws_bench::benchmarks();
-    let threaded_hdr = format!("{threads}-thread host s");
     let mut t = Table::new(
         "Scaling — scaled presets, DWS.ReviveSplit vs Conv",
-        &[
-            "WPUs",
-            "DWS/Conv (hmean)",
-            "serial host s",
-            &threaded_hdr,
-            "intra-run speedup",
-        ],
+        &["WPUs", "DWS/Conv (hmean)", "serial host s"],
     );
     for &n in &scaling_wpu_counts() {
         let mut speedups = Vec::new();
         let mut serial_s = 0.0f64;
-        let mut threaded_s = 0.0f64;
         for &bench in &benches {
             let spec = build_shared(bench);
             let conv = run(
@@ -45,36 +25,16 @@ fn main() {
                 &scaled(Policy::conventional(), n),
                 &spec,
             );
-            let dws = scaled(Policy::dws_revive(), n);
             let t0 = Instant::now();
-            let serial = run(&format!("DWS {n}w x1"), &dws.with_threads(1), &spec);
-            serial_s += t0.elapsed().as_secs_f64();
-            let t0 = Instant::now();
-            let threaded = run(
-                &format!("DWS {n}w x{threads}"),
-                &dws.with_threads(threads),
+            let dws = run(
+                &format!("DWS {n}w"),
+                &scaled(Policy::dws_revive(), n),
                 &spec,
             );
-            threaded_s += t0.elapsed().as_secs_f64();
-            assert_eq!(
-                serial.cycles, threaded.cycles,
-                "threaded run diverged from the serial oracle"
-            );
-            speedups.push(threaded.speedup_over(&conv));
+            serial_s += t0.elapsed().as_secs_f64();
+            speedups.push(dws.speedup_over(&conv));
         }
-        t.row(vec![
-            n.to_string(),
-            f2(hmean(&speedups)),
-            f2(serial_s),
-            f2(threaded_s),
-            f2(serial_s / threaded_s),
-        ]);
+        t.row(vec![n.to_string(), f2(hmean(&speedups)), f2(serial_s)]);
     }
     t.print();
-    println!(
-        "\nintra-run threading shards one machine's WPUs across {threads} worker\n\
-         threads; results are bit-identical to serial at any thread count\n\
-         (asserted above), so the speedup is free of simulation error. Hosts\n\
-         with a single core pay pure handoff overhead (speedup below 1)."
-    );
 }

@@ -45,5 +45,5 @@ pub use regfile::{LaneView, RegFile};
 pub use stats::WpuStats;
 pub use trace::{TraceEvent, Tracer};
 pub use warp::{Frame, Warp};
-pub use wpu::{MemPorts, TickClass, Wpu, WpuConfig};
+pub use wpu::{TickClass, Wpu, WpuConfig};
 pub use wst::WstAccounting;

@@ -16,7 +16,7 @@ use crate::trace::{TraceEvent, Tracer};
 use crate::warp::{Frame, Warp};
 use crate::wst::WstAccounting;
 use dws_engine::fault::{FaultInjector, FaultPlan};
-use dws_engine::{Component, Cycle, FastHashMap, Phase, ReadyRing, WakeHeap};
+use dws_engine::{Cycle, FastHashMap, ReadyRing, WakeHeap};
 use dws_isa::cfg::RECONV_NONE;
 use dws_isa::{execute_lane, CondOp, ExecOp, MemoryAccess, Program, Reg, Src, StepOutcome};
 use dws_mem::{
@@ -42,9 +42,8 @@ pub struct WpuConfig {
     /// Warp-split table entries (paper Section 6.7; 16 by default).
     pub wst_entries: usize,
     /// Geometry of the WPU-local L1 instruction cache. The array lives in
-    /// the WPU (not the shared memory system) so the parallel compute
-    /// phase can probe it without synchronization; only miss fill latency
-    /// goes through the shared crossbar/L2 model, at commit time.
+    /// the WPU; only miss fill latency goes through the shared
+    /// crossbar/L2 model.
     pub l1i: CacheConfig,
 }
 
@@ -86,19 +85,6 @@ enum PreIssue {
     Redirect,
 }
 
-/// Where an issue routes its shared-memory-system interaction.
-///
-/// `Direct` is the serial engine: the issue talks to the memory system
-/// immediately. `Defer` is the parallel compute phase: the shared system
-/// is off-limits, so the first memory interaction suspends the tick as a
-/// [`PendingIssue`] for the commit phase to resume. Everything up to that
-/// point is WPU-local and identical between the two, which is what makes
-/// compute-in-parallel / commit-in-order bit-identical to serial ticking.
-enum MemPort<'a> {
-    Direct(&'a mut MemorySystem, &'a mut dyn MemoryAccess),
-    Defer,
-}
-
 /// Result of one execute attempt inside the issue loop.
 enum ExecResult {
     /// An instruction issued; the cycle is busy.
@@ -106,33 +92,6 @@ enum ExecResult {
     /// Structural retry (MSHR-full, I-fetch miss): the group was pushed
     /// back; try another group this same cycle.
     Retry,
-    /// Deferred mode reached a memory interaction; the tick is parked in
-    /// [`Wpu::pending_issue`] until [`Wpu::tick_commit`] resumes it.
-    Suspend,
-}
-
-/// How the issue loop ended.
-enum IssueOutcome {
-    /// An instruction issued this cycle.
-    Issued,
-    /// The tick suspended at a memory interaction (deferred mode only).
-    Suspended,
-    /// No candidate group could issue; the cycle is a stall.
-    Exhausted,
-}
-
-/// The memory interaction a suspended compute phase parked, resumed in
-/// WPU-index order by [`Wpu::tick_commit`]. Only the group identity is
-/// recorded: the group's own state (PC, mask) is untouched between
-/// suspension and resume, so the commit re-derives everything else and
-/// replays the exact serial path.
-#[derive(Debug, Clone, Copy)]
-enum PendingIssue {
-    /// An I-cache miss: the line is already installed locally; the fill
-    /// latency still needs the shared crossbar/L2 model.
-    IcacheFill { gid: GroupId },
-    /// A load/store about to probe the shared L1/MSHR state.
-    MemAccess { gid: GroupId },
 }
 
 /// Adaptive-slip controller state.
@@ -250,9 +209,7 @@ pub struct Wpu {
     check_oracle: bool,
     /// Deterministic timing-fault injection; `None` outside chaos runs.
     fault: Option<FaultInjector>,
-    /// The WPU-local L1 instruction cache (paper Table 3). Lives here —
-    /// not in the shared [`MemorySystem`] — so the parallel compute phase
-    /// can probe and fill it without touching shared state.
+    /// The WPU-local L1 instruction cache (paper Table 3).
     icache: CacheArray,
     /// `log2(l1i.line_bytes)` when that is a power of two, so the
     /// PC-to-line conversion is a shift instead of a 64-bit divide.
@@ -261,9 +218,6 @@ pub struct Wpu {
     /// by result collection (see [`Self::icache_counters`]).
     l1i_fetches: u64,
     l1i_misses: u64,
-    /// The memory interaction a suspended [`tick_compute`]
-    /// (Self::tick_compute) parked for [`tick_commit`](Self::tick_commit).
-    pending_issue: Option<PendingIssue>,
     /// Per-PC verifier classification: `true` where the instruction is a
     /// conditional branch whose condition provably does not depend on the
     /// thread id (so lanes at the same spine position agree). See
@@ -382,7 +336,6 @@ impl Wpu {
                 .then(|| cfg.l1i.line_bytes.trailing_zeros()),
             l1i_fetches: 0,
             l1i_misses: 0,
-            pending_issue: None,
             uniform_branch: uniformity.uniform,
             spine_branch: uniformity.spine,
             uniform_poisoned: vec![false; cfg.n_warps],
@@ -922,112 +875,22 @@ impl Wpu {
     // ---- the cycle ----------------------------------------------------------
 
     /// Advances the WPU by one cycle. `data` is the functional backing
-    /// store shared by all WPUs. This is the serial engine — identical to
-    /// running [`tick_compute`](Self::tick_compute) followed (when it
-    /// suspends) by [`tick_commit`](Self::tick_commit), which is exactly
-    /// what the parallel run loop does.
+    /// store shared by all WPUs.
     pub fn tick(
         &mut self,
         now: Cycle,
         mem: &mut MemorySystem,
         data: &mut dyn MemoryAccess,
     ) -> TickClass {
-        match self.tick_phase(now, &mut MemPort::Direct(mem, data)) {
-            Phase::Complete(class) => class,
-            Phase::NeedsCommit => unreachable!("direct tick cannot suspend"),
-        }
-    }
-
-    /// The parallel compute phase: advances the WPU by one cycle touching
-    /// only WPU-local state (including its private L1-I). Returns
-    /// [`Phase::NeedsCommit`] when the tick reaches a shared-memory-system
-    /// interaction; the caller must then invoke
-    /// [`tick_commit`](Self::tick_commit) — serially, in WPU-index order —
-    /// to finish the cycle. Compute phases of different WPUs share no
-    /// mutable state, so they may run concurrently.
-    pub fn tick_compute(&mut self, now: Cycle) -> Phase<TickClass> {
-        debug_assert!(self.pending_issue.is_none(), "compute with parked issue");
-        self.tick_phase(now, &mut MemPort::Defer)
-    }
-
-    /// Finishes a suspended [`tick_compute`](Self::tick_compute): resumes
-    /// the parked memory interaction against the shared system, then
-    /// continues the issue loop in direct mode — replaying exactly what
-    /// the serial [`tick`](Self::tick) would have done from that point.
-    pub fn tick_commit(
-        &mut self,
-        now: Cycle,
-        mem: &mut MemorySystem,
-        data: &mut dyn MemoryAccess,
-    ) -> TickClass {
-        let pending = self
-            .pending_issue
-            .take()
-            .expect("tick_commit without a suspended compute phase");
-        let resumed = match pending {
-            PendingIssue::IcacheFill { gid } => self.resume_icache_fill(gid, now, mem, data),
-            PendingIssue::MemAccess { gid } => {
-                let pc = self.group(gid).pc;
-                let op = *self.program.exec_op(pc);
-                self.exec_memory(gid, pc, op, now, mem, data)
-            }
-        };
-        match resumed {
-            ExecResult::Issued => TickClass::Busy,
-            ExecResult::Suspend => unreachable!("direct resume cannot suspend"),
-            ExecResult::Retry => match self.issue_loop(now, &mut MemPort::Direct(mem, data)) {
-                IssueOutcome::Issued => TickClass::Busy,
-                IssueOutcome::Suspended => unreachable!("direct issue cannot suspend"),
-                IssueOutcome::Exhausted => self.stall_postlude(now),
-            },
-        }
-    }
-
-    /// Resumes an I-cache miss parked by the compute phase: models the
-    /// fill latency against the shared crossbar/L2 and either stalls the
-    /// group until the line arrives or — for fills landing within the
-    /// issue window — executes the fetched instruction directly.
-    fn resume_icache_fill(
-        &mut self,
-        gid: GroupId,
-        now: Cycle,
-        mem: &mut MemorySystem,
-        data: &mut dyn MemoryAccess,
-    ) -> ExecResult {
-        let fetch_ready = mem.icache_fill_latency(now);
-        if fetch_ready > now + 1 {
-            let g = self.group_mut(gid);
-            g.ready_at = fetch_ready;
-            self.resched(gid);
-            self.current = None;
-            return ExecResult::Retry;
-        }
-        let pc = self.group(gid).pc;
-        self.execute_post_fetch(gid, pc, now, &mut MemPort::Direct(mem, data))
-    }
-
-    /// One cycle through `port`: the done/adaptation prologue, the issue
-    /// loop, and — when nothing issued — the stall postlude. Direct mode
-    /// always completes; deferred mode suspends at the first shared-memory
-    /// interaction.
-    fn tick_phase(&mut self, now: Cycle, port: &mut MemPort<'_>) -> Phase<TickClass> {
         if self.done() {
             self.next_wake = None;
-            return Phase::Complete(TickClass::Done);
+            return TickClass::Done;
         }
         self.adapt_slip(now);
         self.adapt_throttle(now);
-        match self.issue_loop(now, port) {
-            IssueOutcome::Issued => Phase::Complete(TickClass::Busy),
-            IssueOutcome::Suspended => Phase::NeedsCommit,
-            IssueOutcome::Exhausted => Phase::Complete(self.stall_postlude(now)),
-        }
-    }
 
-    /// The issue half of a tick. Pre-issue transitions are zero-cost PC
-    /// redirects; loop until an instruction issues or no candidate
-    /// remains.
-    fn issue_loop(&mut self, now: Cycle, port: &mut MemPort<'_>) -> IssueOutcome {
+        // Pre-issue transitions are zero-cost PC redirects; loop until an
+        // instruction issues or no candidate remains.
         let mut guard = 0;
         loop {
             guard += 1;
@@ -1084,21 +947,15 @@ impl Wpu {
                         self.current = None;
                     }
                 }
-                PreIssue::Execute => match self.execute(gid, now, port) {
-                    ExecResult::Issued => return IssueOutcome::Issued,
-                    ExecResult::Suspend => return IssueOutcome::Suspended,
+                PreIssue::Execute => match self.execute(gid, now, mem, data) {
+                    ExecResult::Issued => return TickClass::Busy,
                     // Structural stall (MSHR-full or I-fetch miss): the
                     // group was pushed back; try another this cycle.
                     ExecResult::Retry => {}
                 },
             }
         }
-        IssueOutcome::Exhausted
-    }
 
-    /// The stalled-cycle tail of a tick: revive splits, fault churn, stall
-    /// classification, and the cached-wake refresh.
-    fn stall_postlude(&mut self, now: Cycle) -> TickClass {
         // Nothing issuable: ReviveSplit may create a run-ahead split.
         if let Policy::Dws(c) = self.cfg.policy {
             if c.mem_split == Some(MemSplit::Revive) && !self.any_slotted_ready() {
@@ -1670,7 +1527,13 @@ impl Wpu {
 
     /// Executes the instruction at `gid`'s PC. The cycle is consumed
     /// whatever the result.
-    fn execute(&mut self, gid: GroupId, now: Cycle, port: &mut MemPort<'_>) -> ExecResult {
+    fn execute(
+        &mut self,
+        gid: GroupId,
+        now: Cycle,
+        mem: &mut MemorySystem,
+        data: &mut dyn MemoryAccess,
+    ) -> ExecResult {
         let pc = self.group(gid).pc;
         debug_assert!(
             !self.group(gid).mask.is_empty(),
@@ -1678,19 +1541,10 @@ impl Wpu {
         );
 
         // Instruction fetch through the WPU-local L1-I (cold misses stall
-        // the group). A hit is fully local; a miss needs the shared
-        // crossbar/L2 model for its fill latency, so deferred mode
-        // suspends here.
-        let fetch_ready = match self.icache_probe(now, pc) {
-            Some(ready) => ready,
-            None => match port {
-                MemPort::Direct(mem, _) => mem.icache_fill_latency(now),
-                MemPort::Defer => {
-                    self.pending_issue = Some(PendingIssue::IcacheFill { gid });
-                    return ExecResult::Suspend;
-                }
-            },
-        };
+        // the group; the fill latency comes from the crossbar/L2 model).
+        let fetch_ready = self
+            .icache_probe(now, pc)
+            .unwrap_or_else(|| mem.icache_fill_latency(now));
         if fetch_ready > now + 1 {
             // Anything beyond a 1-cycle hit: retry when the line arrives.
             let g = self.group_mut(gid);
@@ -1699,38 +1553,7 @@ impl Wpu {
             self.current = None;
             return ExecResult::Retry;
         }
-        self.execute_post_fetch(gid, pc, now, port)
-    }
 
-    /// Probes the WPU-local L1-I for `pc`'s line. Returns the fetch-ready
-    /// cycle on a hit; on a miss, counts it and installs the line
-    /// (instructions always hit the L2 side in these tiny kernels),
-    /// leaving the fill latency to the shared model. Instruction storage
-    /// is laid out at 4 bytes per instruction in its own address space.
-    fn icache_probe(&mut self, now: Cycle, pc: usize) -> Option<Cycle> {
-        self.l1i_fetches += 1;
-        let line = match self.l1i_shift {
-            Some(s) => (pc as u64 * 4) >> s,
-            None => (pc as u64 * 4) / self.cfg.l1i.line_bytes,
-        };
-        if self.icache.probe(line).valid() {
-            return Some(now + self.cfg.l1i.hit_latency);
-        }
-        self.l1i_misses += 1;
-        self.icache.fill(line, MesiState::Shared);
-        None
-    }
-
-    /// Dispatches the fetched instruction. Separate from
-    /// [`execute`](Self::execute) so a commit-phase I-cache fill landing
-    /// within the issue window can resume here.
-    fn execute_post_fetch(
-        &mut self,
-        gid: GroupId,
-        pc: usize,
-        now: Cycle,
-        port: &mut MemPort<'_>,
-    ) -> ExecResult {
         let op = *self.program.exec_op(pc);
         let mask = self.group(gid).mask;
         let warp = self.group(gid).warp;
@@ -1759,16 +1582,9 @@ impl Wpu {
                 self.exec_branch(gid, pc, cond, a, b, target as usize, now);
                 ExecResult::Issued
             }
-            ExecOp::Load { .. } | ExecOp::Store { .. } => match port {
-                MemPort::Direct(mem, data) => self.exec_memory(gid, pc, op, now, mem, &mut **data),
-                MemPort::Defer => {
-                    // The memo check, decode, and L1 probe all start at
-                    // shared state (the L1 generation); park the whole
-                    // access for the commit phase.
-                    self.pending_issue = Some(PendingIssue::MemAccess { gid });
-                    ExecResult::Suspend
-                }
-            },
+            ExecOp::Load { .. } | ExecOp::Store { .. } => {
+                self.exec_memory(gid, pc, op, now, mem, data)
+            }
             ExecOp::Barrier => {
                 self.stats.on_issue(mask.count());
                 let g = self.group_mut(gid);
@@ -1790,6 +1606,25 @@ impl Wpu {
                 ExecResult::Issued
             }
         }
+    }
+
+    /// Probes the WPU-local L1-I for `pc`'s line. Returns the fetch-ready
+    /// cycle on a hit; on a miss, counts it and installs the line
+    /// (instructions always hit the L2 side in these tiny kernels),
+    /// leaving the fill latency to the crossbar/L2 model. Instruction storage
+    /// is laid out at 4 bytes per instruction in its own address space.
+    fn icache_probe(&mut self, now: Cycle, pc: usize) -> Option<Cycle> {
+        self.l1i_fetches += 1;
+        let line = match self.l1i_shift {
+            Some(s) => (pc as u64 * 4) >> s,
+            None => (pc as u64 * 4) / self.cfg.l1i.line_bytes,
+        };
+        if self.icache.probe(line).valid() {
+            return Some(now + self.cfg.l1i.hit_latency);
+        }
+        self.l1i_misses += 1;
+        self.icache.fill(line, MesiState::Shared);
+        None
     }
 
     /// Executes an ALU/Un/Set instruction across the active lanes: through
@@ -2518,33 +2353,5 @@ impl Wpu {
             let _ = writeln!(s, "warp {} stack={:?} halted={}", w.id, w.stack, w.halted);
         }
         s
-    }
-}
-
-/// The shared-system half of a WPU's [`Component`] step: the timed memory
-/// hierarchy plus the functional backing store.
-pub struct MemPorts<'a> {
-    /// The timed cache hierarchy shared by all WPUs.
-    pub mem: &'a mut MemorySystem,
-    /// The functional data memory shared by all WPUs.
-    pub data: &'a mut dyn MemoryAccess,
-}
-
-impl<'a> Component<MemPorts<'a>> for Wpu {
-    type Tick = TickClass;
-
-    fn next_tick(&self) -> Option<Cycle> {
-        match (self.cached_next_wake(), self.next_adapt_boundary()) {
-            (Some(w), Some(a)) => Some(w.min(a)),
-            (w, a) => w.or(a),
-        }
-    }
-
-    fn compute(&mut self, now: Cycle) -> Phase<TickClass> {
-        self.tick_compute(now)
-    }
-
-    fn commit(&mut self, now: Cycle, sys: &mut MemPorts<'a>) -> TickClass {
-        self.tick_commit(now, sys.mem, sys.data)
     }
 }

@@ -274,55 +274,6 @@ impl std::fmt::Debug for ReadyRing {
     }
 }
 
-/// Result of a component's compute phase.
-///
-/// `Complete` carries the tick's summary; `NeedsCommit` means the
-/// component reached its first shared-system interaction and parked the
-/// rest of the tick until [`Component::commit`] runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Phase<T> {
-    /// The tick finished entirely inside component-local state.
-    Complete(T),
-    /// The tick is suspended at a buffered shared-system intent; the
-    /// caller must invoke `commit` with exclusive access to the system.
-    NeedsCommit,
-}
-
-/// A two-phase steppable simulation component.
-///
-/// The deterministic parallel engine splits one logical tick into
-///
-/// 1. a **compute** phase that touches only the component's own state and
-///    may therefore run concurrently with every other component's compute
-///    phase, and
-/// 2. a **commit** phase with exclusive (`&mut`) access to the shared
-///    system `Sys`, replayed serially in fixed component-index order.
-///
-/// Because a component's compute phase reads nothing another component
-/// can write, and commits are ordered exactly as a serial sweep over the
-/// components would order them, a compute-in-parallel / commit-in-order
-/// schedule is bit-identical to ticking the components one after another.
-///
-/// `next_tick` exposes the component's cached next event time so an
-/// event-driven driver can skip cycles on which no component is due.
-pub trait Component<Sys: ?Sized> {
-    /// Per-tick summary (e.g. a busy/stall classification).
-    type Tick;
-
-    /// The next cycle at which this component must tick, if any.
-    fn next_tick(&self) -> Option<Cycle>;
-
-    /// Runs the component-local part of the tick. Returning
-    /// [`Phase::NeedsCommit`] parks the tick at its first shared-system
-    /// intent.
-    fn compute(&mut self, now: Cycle) -> Phase<Self::Tick>;
-
-    /// Applies the parked intent (and the rest of the tick) against the
-    /// shared system. Must only be called after `compute` returned
-    /// [`Phase::NeedsCommit`].
-    fn commit(&mut self, now: Cycle, sys: &mut Sys) -> Self::Tick;
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -450,70 +401,5 @@ mod tests {
         r.insert(99);
         assert_eq!(r.next_from(4), Some(99));
         assert_eq!(r.next_from(0), Some(3));
-    }
-
-    /// A counter component: every third tick it must append its id to a
-    /// shared log (the "system"), otherwise the tick is purely local. A
-    /// compute-all / commit-in-order schedule must produce the same log
-    /// as ticking components one by one.
-    struct Logger {
-        id: usize,
-        ticks: u64,
-    }
-
-    impl Component<Vec<usize>> for Logger {
-        type Tick = bool;
-
-        fn next_tick(&self) -> Option<Cycle> {
-            Some(Cycle(self.ticks))
-        }
-
-        fn compute(&mut self, _now: Cycle) -> Phase<bool> {
-            self.ticks += 1;
-            if self.ticks.is_multiple_of(3) {
-                Phase::NeedsCommit
-            } else {
-                Phase::Complete(false)
-            }
-        }
-
-        fn commit(&mut self, _now: Cycle, sys: &mut Vec<usize>) -> bool {
-            sys.push(self.id);
-            true
-        }
-    }
-
-    #[test]
-    fn component_commit_order_matches_serial_sweep() {
-        let run = |interleaved: bool| {
-            let mut cs: Vec<Logger> = (0..4).map(|id| Logger { id, ticks: 0 }).collect();
-            let mut log = Vec::new();
-            for cycle in 0..9 {
-                let now = Cycle(cycle);
-                if interleaved {
-                    // Compute everywhere first (models the parallel phase),
-                    // then commit in index order.
-                    let pending: Vec<bool> = cs
-                        .iter_mut()
-                        .map(|c| c.compute(now) == Phase::NeedsCommit)
-                        .collect();
-                    for (c, p) in cs.iter_mut().zip(pending) {
-                        if p {
-                            c.commit(now, &mut log);
-                        }
-                    }
-                } else {
-                    for c in &mut cs {
-                        if c.compute(now) == Phase::NeedsCommit {
-                            c.commit(now, &mut log);
-                        }
-                    }
-                }
-            }
-            log
-        };
-        let serial = run(false);
-        assert_eq!(serial, run(true));
-        assert_eq!(serial.len(), 12, "3 commit rounds x 4 components");
     }
 }

@@ -843,12 +843,11 @@ impl MemorySystem {
     }
 
     /// Latency model for an L1-I cold-miss fill. The I-cache arrays
-    /// themselves live inside the WPUs (so the parallel compute phase can
-    /// probe them without touching shared state); only this shared-timing
-    /// part — the request crossing the crossbar, the L2 lookup
-    /// (instructions always hit there in these tiny kernels), and the line
-    /// crossing back — runs against the memory system, at commit time.
-    /// Returns the cycle the instruction is available.
+    /// themselves live inside the WPUs; only the shared timing — the
+    /// request crossing the crossbar, the L2 lookup (instructions always
+    /// hit there in these tiny kernels), and the line crossing back — runs
+    /// against the memory system. Returns the cycle the instruction is
+    /// available.
     pub fn icache_fill_latency(&mut self, now: Cycle) -> Cycle {
         let arrive = self
             .xbar

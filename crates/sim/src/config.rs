@@ -37,11 +37,6 @@ pub struct SimConfig {
     /// Optional host wall-clock budget for one run; exceeded budgets abort
     /// with [`SimError::HostBudget`].
     pub host_budget: Option<Duration>,
-    /// Intra-run worker threads sharding the WPUs of *one* machine
-    /// (deterministic: results are bit-identical at any thread count).
-    /// `None` defers to the `DWS_THREADS` environment variable, defaulting
-    /// to 1 (serial).
-    pub threads: Option<usize>,
 }
 
 impl SimConfig {
@@ -62,14 +57,7 @@ impl SimConfig {
             fault: FaultPlan::NONE,
             livelock_window: 2_000_000,
             host_budget: None,
-            threads: None,
         }
-    }
-
-    /// Pins the intra-run worker thread count (overrides `DWS_THREADS`).
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = Some(threads);
-        self
     }
 
     /// Sets the fault-injection plan.

@@ -1,16 +1,19 @@
 //! Verifier-guided differential fuzzing of the whole simulator.
 //!
-//! The repo accumulated a set of pairwise equivalence oracles — µop engine
-//! vs legacy ShadowLane interpretation, event-driven vs stepped run,
-//! parallel vs serial stepping, fault-injected vs clean timing, every
-//! scheduling policy vs the scalar reference interpreter, and (PR 8) the
-//! control-flow-melded kernel vs its unmelded self. Each oracle was
-//! exercised only by the eight hand-written benchmarks and a handful of
-//! test kernels. This module closes the input side: [`run_campaign`]
-//! draws verifier-accepted random kernels from [`dws_isa::gen`], runs
-//! each one across *all* the oracle axes on a small canonical machine,
-//! and classifies any disagreement, watchdog diagnostic, or caught panic
-//! into a structured [`FuzzFailure`].
+//! The simulator carries a set of pairwise equivalence oracles, the fuzz
+//! *axes*, checked in this order:
+//!
+//! 1. every scheduling policy's event-driven run vs the scalar reference
+//!    interpreter's memory image;
+//! 2. the cycle-stepped run vs the event-driven run;
+//! 3. the legacy per-lane (ShadowLane) engine vs the µop engine;
+//! 4. fault-injected (chaos) timing vs the reference image;
+//! 5. the control-flow-melded kernel vs its unmelded reference image.
+//!
+//! [`run_campaign`] draws verifier-accepted random kernels from
+//! [`dws_isa::gen`], runs each one across all the axes on a small
+//! canonical machine, and classifies any disagreement, watchdog
+//! diagnostic, or caught panic into a structured [`FuzzFailure`].
 //!
 //! A failing kernel is then handed to [`minimize`], a delta-debugging
 //! loop over the generator's statement AST: drop statements, inline
@@ -84,8 +87,6 @@ pub enum Axis {
     Policy(&'static str),
     /// Cycle-stepped run vs the event-driven run (canonical policy).
     Stepped,
-    /// Two-worker parallel stepping vs serial (canonical policy).
-    Parallel,
     /// Legacy ShadowLane interpretation vs the µop engine (canonical
     /// policy).
     Legacy,
@@ -105,7 +106,6 @@ impl Axis {
         match self {
             Axis::Policy(p) => format!("policy:{p}"),
             Axis::Stepped => "stepped".to_string(),
-            Axis::Parallel => "parallel".to_string(),
             Axis::Legacy => "legacy-engine".to_string(),
             Axis::Chaos => "chaos".to_string(),
             Axis::Meld => "meld".to_string(),
@@ -254,7 +254,7 @@ impl Default for FuzzConfig {
 
 impl FuzzConfig {
     /// The policy whose run anchors the engine-equivalence axes (stepped,
-    /// parallel, legacy, chaos): the restricted policy when one is set,
+    /// legacy, chaos): the restricted policy when one is set,
     /// else `DWS.ReviveSplit` — the paper's headline configuration and
     /// the one with the most warp-split machinery in play.
     #[must_use]
@@ -307,8 +307,7 @@ fn fuzz_sim_config(policy: Policy, max_cycles: u64) -> SimConfig {
     let mut c = SimConfig::paper(policy)
         .with_wpus(FUZZ_WPUS)
         .with_width(FUZZ_WIDTH)
-        .with_warps(FUZZ_WARPS)
-        .with_threads(1);
+        .with_warps(FUZZ_WARPS);
     c.max_cycles = max_cycles;
     c
 }
@@ -338,6 +337,20 @@ fn build_spec(program: dws_isa::Program, seed: u64) -> Result<(Arc<KernelSpec>, 
     })
     .with_layout(BufferLayout::of(&gen::layout(FUZZ_THREADS)));
     Ok((Arc::new(spec), expected))
+}
+
+/// Steps a fresh machine cycle by cycle until it finishes or reaches
+/// `limit` cycles; `uop` selects the µop engine or the legacy per-lane
+/// one. Returns whether it finished, and its result.
+fn step_until(config: &SimConfig, spec: &KernelSpec, limit: u64, uop: bool) -> (bool, RunResult) {
+    let mut m = Machine::new(config, spec);
+    for w in &mut m.wpus {
+        w.set_uop_engine(uop);
+    }
+    while !m.done() && m.now().raw() < limit {
+        m.step();
+    }
+    (m.done(), m.into_result())
 }
 
 /// First differing word between two memory images, as a detail string.
@@ -397,7 +410,7 @@ fn classify_err(e: &SimError, axis: Axis) -> FuzzFinding {
 
 /// Runs one compiled kernel across every oracle axis; `None` means all
 /// axes agree. Axis order is fixed (policies in registry order, then
-/// stepped, parallel, legacy engine, chaos, meld), and the first failure
+/// stepped, legacy engine, chaos, meld), and the first failure
 /// wins, so classification is deterministic.
 ///
 /// # Errors
@@ -475,14 +488,8 @@ pub fn check_program(
     // documents bit-identity with stepping, so cycles AND memory must
     // match exactly. The step loop is bounded by the event run's cycle
     // count — crossing it already proves divergence.
-    let stepped = catch_unwind(AssertUnwindSafe(|| {
-        let mut m = Machine::new(&config, &spec);
-        let limit = canonical_run.cycles + 1;
-        while !m.done() && m.now().raw() < limit {
-            m.step();
-        }
-        (m.done(), m.into_result())
-    }));
+    let limit = canonical_run.cycles + 1;
+    let stepped = catch_unwind(AssertUnwindSafe(|| step_until(&config, &spec, limit, true)));
     match stepped {
         Ok((done, r)) => {
             let mut cycles = r.cycles;
@@ -513,53 +520,19 @@ pub fn check_program(
         }
     }
 
-    // Axis 3: parallel stepping (2 workers sharding the WPUs) vs serial.
-    let par = catch_unwind(AssertUnwindSafe(|| {
-        Machine::run_with_threads(&config, &spec, 2)
-    }));
-    match par {
-        Ok(Ok(r)) => {
-            if r.cycles != canonical_run.cycles {
-                return Some(FuzzFinding {
-                    class: FailureClass::CycleMismatch(Axis::Parallel),
-                    message: format!(
-                        "parallel: {} cycles, serial: {}",
-                        r.cycles, canonical_run.cycles
-                    ),
-                });
-            }
-            if r.memory.words() != canonical_run.memory.words() {
-                return Some(FuzzFinding {
-                    class: FailureClass::MemoryMismatch(Axis::Parallel),
-                    message: first_diff(r.memory.words(), canonical_run.memory.words()),
-                });
-            }
-        }
-        Ok(Err(e)) => return Some(classify_err(&e, Axis::Parallel)),
-        Err(p) => {
-            return Some(FuzzFinding {
-                class: FailureClass::Panic(Axis::Parallel),
-                message: panic_payload(&*p),
-            })
-        }
-    }
-
-    // Axis 4: legacy ShadowLane interpretation vs the µop engine. Total
-    // equivalence — cycles and memory.
+    // Axis 3: legacy ShadowLane interpretation vs the µop engine. Total
+    // equivalence — cycles and memory. Stepped (already pinned to the
+    // event-driven loop by axis 2) and bounded the same way.
     let legacy = catch_unwind(AssertUnwindSafe(|| {
-        let mut m = Machine::new(&config, &spec);
-        for w in &mut m.wpus {
-            w.set_uop_engine(false);
-        }
-        m.run_serial(&config)
+        step_until(&config, &spec, limit, false)
     }));
     match legacy {
-        Ok(Ok(r)) => {
-            if r.cycles != canonical_run.cycles {
+        Ok((done, r)) => {
+            if !done || r.cycles != canonical_run.cycles {
                 return Some(FuzzFinding {
                     class: FailureClass::CycleMismatch(Axis::Legacy),
                     message: format!(
-                        "legacy engine: {} cycles, uop engine: {}",
+                        "legacy engine: {} cycles (done={done}), uop engine: {}",
                         r.cycles, canonical_run.cycles
                     ),
                 });
@@ -571,7 +544,6 @@ pub fn check_program(
                 });
             }
         }
-        Ok(Err(e)) => return Some(classify_err(&e, Axis::Legacy)),
         Err(p) => {
             return Some(FuzzFinding {
                 class: FailureClass::Panic(Axis::Legacy),
@@ -580,7 +552,7 @@ pub fn check_program(
         }
     }
 
-    // Axis 5: full-chaos fault injection. Faults perturb timing only, so
+    // Axis 4: full-chaos fault injection. Faults perturb timing only, so
     // the final memory must still match the reference image (cycles will
     // differ, by design).
     let chaos_config = config.with_fault(FaultPlan::full_chaos(seed));
@@ -609,7 +581,7 @@ pub fn check_program(
         }
     }
 
-    // Axis 6: control-flow melding. Rewrite divergent diamonds into
+    // Axis 5: control-flow melding. Rewrite divergent diamonds into
     // predicated straight-line code, then require the melded kernel's
     // event-driven AND chaos runs to reproduce the unmelded reference
     // image exactly. Cycles may differ (melding exists to change them);

@@ -149,36 +149,7 @@ impl Machine {
     /// cycles, and [`SimError::HostBudget`] when the optional wall-clock
     /// budget runs out.
     pub fn run(config: &SimConfig, spec: &KernelSpec) -> Result<RunResult, SimError> {
-        let threads = config
-            .threads
-            .unwrap_or_else(crate::parallel::default_threads);
-        Self::run_with_threads(config, spec, threads)
-    }
-
-    /// [`run`](Self::run) with an explicit intra-run thread count:
-    /// `threads <= 1` is the serial reference engine; more shards the
-    /// machine's WPUs across a worker pool with per-cycle ordered commits,
-    /// bit-identical to serial (see [`crate::parallel`]).
-    ///
-    /// # Errors
-    ///
-    /// As for [`run`](Self::run).
-    pub fn run_with_threads(
-        config: &SimConfig,
-        spec: &KernelSpec,
-        threads: usize,
-    ) -> Result<RunResult, SimError> {
-        let m = Machine::new(config, spec);
-        let t = threads.clamp(1, m.wpus.len().max(1));
-        if t <= 1 {
-            m.run_serial(config)
-        } else {
-            crate::parallel::run_parallel(m, config, t)
-        }
-    }
-
-    pub(crate) fn run_serial(self, config: &SimConfig) -> Result<RunResult, SimError> {
-        let mut m = self;
+        let mut m = Machine::new(config, spec);
         let n = m.wpus.len();
         // The next cycle each WPU must tick; `None` once it is done (or,
         // transiently, when only a fill completion can wake it).

@@ -40,9 +40,8 @@ impl RunResult {
             agg.merge(s);
         }
         let mut mem_stats = mem.stats();
-        // The L1-I arrays live inside the WPUs (so the parallel compute
-        // phase can probe them locally); fold their counters back into the
-        // memory-system view the energy model and reports consume.
+        // The L1-I arrays live inside the WPUs; fold their counters back
+        // into the memory-system view the energy model and reports consume.
         for w in wpus {
             let (fetches, misses) = w.icache_counters();
             mem_stats.l1i_fetches.add(fetches);

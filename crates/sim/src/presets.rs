@@ -53,9 +53,10 @@ pub fn figure13_policies() -> Vec<(&'static str, Policy)> {
 }
 
 /// A machine scaled to `n_wpus` WPUs (paper per-WPU organization, one L1
-/// per WPU). The WPU counts in [`scaling_wpu_counts`] are the simspeed
-/// scaling-study presets; intra-run threading (`DWS_THREADS` /
-/// [`SimConfig::with_threads`]) is what makes the larger ones tractable.
+/// per WPU), used by the WPU-scaling study at the counts in
+/// [`scaling_wpu_counts`]. Like every machine it runs on one host thread;
+/// a study gets its parallelism from running its points as separate
+/// sweep jobs (`DWS_JOBS`).
 pub fn scaled(policy: Policy, n_wpus: usize) -> SimConfig {
     SimConfig::paper(policy).with_wpus(n_wpus)
 }

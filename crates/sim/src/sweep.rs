@@ -68,37 +68,26 @@ pub struct SweepOutcome {
 /// auto-detection.
 #[must_use]
 pub fn default_workers() -> usize {
-    env_worker_count("DWS_JOBS").unwrap_or_else(|| {
+    let from_env = std::env::var("DWS_JOBS")
+        .ok()
+        .and_then(|v| match v.trim().parse::<usize>() {
+            Ok(n) if n >= 1 => Some(n),
+            Ok(_) => {
+                warn_once("DWS_JOBS=0 is invalid (need >= 1); using the default");
+                None
+            }
+            Err(_) => {
+                warn_once(&format!(
+                    "DWS_JOBS={v:?} is not a worker count; using the default"
+                ));
+                None
+            }
+        });
+    from_env.unwrap_or_else(|| {
         std::thread::available_parallelism()
             .map(std::num::NonZeroUsize::get)
             .unwrap_or(1)
     })
-}
-
-/// Parses a worker-count environment variable: `Some(n)` for an integer of
-/// at least 1, `None` when unset. Zero and unparseable values are rejected
-/// with a once-per-process stderr warning, then treated as unset so the
-/// caller falls back to its default. Shared by [`default_workers`]
-/// (`DWS_JOBS`, inter-run sweep workers) and
-/// [`default_threads`](crate::parallel::default_threads) (`DWS_THREADS`,
-/// intra-run WPU shards).
-pub(crate) fn env_worker_count(var: &str) -> Option<usize> {
-    let v = std::env::var(var).ok()?;
-    match v.trim().parse::<usize>() {
-        Ok(n) if n >= 1 => Some(n),
-        Ok(_) => {
-            warn_once(&format!(
-                "{var}=0 is invalid (need >= 1); using the default"
-            ));
-            None
-        }
-        Err(_) => {
-            warn_once(&format!(
-                "{var}={v:?} is not a worker count; using the default"
-            ));
-            None
-        }
-    }
 }
 
 /// Prints one warning to stderr, at most once per process.

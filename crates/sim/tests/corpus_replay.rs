@@ -6,8 +6,8 @@
 //! The seed in the filename selects the same input image the original
 //! campaign used, so a replay is bit-for-bit the original differential
 //! check: every policy vs the reference interpreter, stepped vs
-//! event-driven, parallel vs serial, legacy engine vs µop, chaos vs
-//! zero-fault. All must agree — any finding here is a regression.
+//! event-driven, legacy engine vs µop, chaos vs zero-fault, melded vs
+//! unmelded. All must agree — any finding here is a regression.
 
 use dws_isa::parse_asm;
 use dws_sim::fuzz::{check_program, FuzzConfig};

@@ -4,7 +4,7 @@
 # Tables go to bench_output.txt; per-sweep host timings are appended to
 # bench_timings.jsonl as one JSON object per line. DWS_JOBS controls the
 # sweep worker pool (DWS_JOBS=1 reproduces the historical serial harness).
-cd /root/repo
+cd "$(dirname "$0")"
 : > bench_output.txt
 : > bench_timings.jsonl
 # fig13_meld is the advisory melded-cycle-delta row: static melding vs DWS
@@ -23,18 +23,17 @@ for fig in table1_characterization fig13_schemes fig13_meld fig07_branch_dws fig
     >> bench_timings.jsonl
 done
 echo "=== bench: scaling_wpus ===" | tee -a bench_output.txt
-# The scaling study runs 32/64/128-WPU machines, each three times (Conv,
-# DWS serial, DWS threaded) — restrict the benchmark set to keep its wall
-# clock in line with the single-figure sweeps. DWS_THREADS picks the
-# intra-run thread count (default: min(cores, 4)).
+# The scaling study runs 32/64/128-WPU machines, each twice (Conv and
+# DWS), one host thread per machine — restrict the benchmark set to keep
+# its wall clock in line with the single-figure sweeps.
 t0=$(date +%s.%N)
 DWS_BENCHMARKS="${DWS_SCALING_BENCHMARKS:-Merge,FFT}" \
   cargo bench -p dws-bench --bench scaling_wpus 2>>bench_progress.log | tee -a bench_output.txt
 status=${PIPESTATUS[0]}
 t1=$(date +%s.%N)
 dt=$(awk -v a="$t0" -v b="$t1" 'BEGIN { printf "%.2f", b - a }')
-printf '{"sweep": "scaling_wpus", "host_seconds": %s, "threads": "%s", "scale": "%s", "status": %d}\n' \
-  "$dt" "${DWS_THREADS:-auto}" "${DWS_SCALE:-bench}" "$status" >> bench_timings.jsonl
+printf '{"sweep": "scaling_wpus", "host_seconds": %s, "scale": "%s", "status": %d}\n' \
+  "$dt" "${DWS_SCALE:-bench}" "$status" >> bench_timings.jsonl
 echo "=== bench: simspeed ===" | tee -a bench_output.txt
 # Keep the previous throughput report so perf-diff can show the trend.
 [ -f BENCH_simspeed.json ] && cp BENCH_simspeed.json BENCH_simspeed.prev.json

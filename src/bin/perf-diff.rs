@@ -10,6 +10,7 @@
 //! below the old value (default 20). Rows present in only one of the two
 //! files are listed (`gone` / `new`) rather than dropped. The fig13 sweep
 //! wall-clock times are compared the same way (lower is better there).
+//! Any other section a report carries is ignored.
 //! Exit status is nonzero when any row regresses, so CI can run this
 //! advisorily or as a gate.
 //!
@@ -35,8 +36,6 @@ struct Report {
     rows: Vec<Row>,
     serial_seconds: Option<f64>,
     parallel_seconds: Option<f64>,
-    intra_serial_seconds: Option<f64>,
-    intra_speedup: Option<f64>,
 }
 
 /// Extracts `"key": "value"` from one JSON object body.
@@ -108,13 +107,10 @@ fn parse_report(json: &str) -> Report {
         })
         .collect();
     let sweep = json.find("\"fig13_sweep\":").map(|i| &json[i..]);
-    let intra = json.find("\"intra_run\":").map(|i| &json[i..]);
     Report {
         rows,
         serial_seconds: sweep.and_then(|s| num_field(s, "serial_seconds")),
         parallel_seconds: sweep.and_then(|s| num_field(s, "parallel_seconds")),
-        intra_serial_seconds: intra.and_then(|s| num_field(s, "serial_seconds")),
-        intra_speedup: intra.and_then(|s| num_field(s, "parallel_speedup")),
     }
 }
 
@@ -211,11 +207,6 @@ fn main() -> ExitCode {
     for (name, ov, nv) in [
         ("fig13 serial", old.serial_seconds, new.serial_seconds),
         ("fig13 parallel", old.parallel_seconds, new.parallel_seconds),
-        (
-            "intra-run serial",
-            old.intra_serial_seconds,
-            new.intra_serial_seconds,
-        ),
     ] {
         if let (Some(ov), Some(nv)) = (ov, nv) {
             let pct = (nv / ov - 1.0) * 100.0;
@@ -223,18 +214,6 @@ fn main() -> ExitCode {
             if pct > max_regress {
                 regressions.push(format!("{name}: {pct:+.1}% wall clock"));
             }
-        }
-    }
-    // Intra-run speedup: higher is better, so a regression is it dropping.
-    if let (Some(ov), Some(nv)) = (old.intra_speedup, new.intra_speedup) {
-        let pct = (nv / ov - 1.0) * 100.0;
-        let _ = writeln!(
-            table,
-            "{:25} {ov:>8.2}x {nv:>8.2}x {pct:>+7.1}%",
-            "intra-run speedup"
-        );
-        if pct < -max_regress {
-            regressions.push(format!("intra-run speedup: {pct:+.1}%"));
         }
     }
     print!("{table}");
@@ -247,5 +226,26 @@ fn main() -> ExitCode {
             println!("  {r}");
         }
         ExitCode::FAILURE
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn reports_with_extra_sections_still_parse() {
+        let json = r#"{
+  "throughput": [
+    {"bench": "FFT", "policy": "Conv", "cycles": 1, "insts": 2, "host_seconds": 0.5, "mcycles_per_sec": 2.000, "minsts_per_sec": 4.000}
+  ],
+  "fig13_sweep": {"jobs": 64, "serial_seconds": 23.2251, "parallel_seconds": null},
+  "intra_run": {"serial_seconds": 0.4831, "parallel_seconds": 0.7079}
+}"#;
+        let r = parse_report(json);
+        assert_eq!(r.rows.len(), 1);
+        assert_eq!((r.rows[0].mcyc, r.rows[0].minst), (2.0, 4.0));
+        assert_eq!(r.serial_seconds, Some(23.2251));
+        assert_eq!(r.parallel_seconds, None);
     }
 }

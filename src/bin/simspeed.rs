@@ -1,9 +1,7 @@
 //! Simulator-throughput benchmark: measures host-side simulation speed
-//! (Mcycles/s, Minst/s) on representative kernels, times the full
+//! (Mcycles/s, Minst/s) on representative kernels, then times the full
 //! Figure 13 sweep serially (one worker) and on the default worker pool to
-//! report the harness parallel speedup, then shards one scaled 32-WPU
-//! machine across intra-run worker threads (`DWS_THREADS`) to report the
-//! deterministic intra-run speedup.
+//! report the harness parallel speedup.
 //!
 //! Results are printed as a table and written to `BENCH_simspeed.json` in
 //! the current directory.
@@ -132,43 +130,6 @@ fn main() {
         None
     };
 
-    // Part 3: intra-run scaling — one 32-WPU machine (the smallest scaled
-    // preset) sharded across worker threads. Unlike the sweep pool this
-    // parallelizes a *single* run, bit-identically to serial; the cycle
-    // counts are asserted equal, not assumed. Thread count comes from
-    // DWS_THREADS when set, else min(cores, 4); on a single-core host the
-    // measured "speedup" is honestly below 1 (pure handoff overhead).
-    let intra_wpus = dws::sim::presets::scaling_wpu_counts()[0];
-    let env_threads = dws::sim::default_threads();
-    let intra_threads = if env_threads > 1 {
-        env_threads
-    } else {
-        available_parallelism.clamp(2, 4)
-    };
-    println!("\n-- intra-run scaling ({intra_wpus}-WPU machine, DWS.ReviveSplit) --");
-    let intra_spec = Benchmark::Merge.build(scale, seed);
-    let intra_cfg = dws::sim::presets::scaled(Policy::dws_revive(), intra_wpus);
-    let t0 = Instant::now();
-    let intra_a = Machine::run(&intra_cfg.with_threads(1), &intra_spec).unwrap();
-    let intra_serial = t0.elapsed().as_secs_f64();
-    println!(
-        "serial   (1 thread):  {intra_serial:7.2}s ({} cycles)",
-        intra_a.cycles
-    );
-    let t0 = Instant::now();
-    let intra_b = Machine::run(&intra_cfg.with_threads(intra_threads), &intra_spec).unwrap();
-    let intra_parallel = t0.elapsed().as_secs_f64();
-    assert_eq!(
-        intra_a.cycles, intra_b.cycles,
-        "parallel run diverged from the serial oracle"
-    );
-    let intra_speedup = intra_serial / intra_parallel;
-    println!(
-        "parallel ({intra_threads} threads): {intra_parallel:7.2}s  -> {intra_speedup:.2}x \
-         (cycles match: {} == {})",
-        intra_a.cycles, intra_b.cycles
-    );
-
     // Hand-rolled JSON: the repo builds offline, with no serialization dep.
     let mut json = String::from("{\n");
     let _ = writeln!(json, "  \"scale\": \"{scale_name}\",");
@@ -208,14 +169,6 @@ fn main() {
             let _ = writeln!(json, "    \"parallel_speedup\": null");
         }
     }
-    json.push_str("  },\n");
-    json.push_str("  \"intra_run\": {\n");
-    let _ = writeln!(json, "    \"wpus\": {intra_wpus},");
-    let _ = writeln!(json, "    \"intra_run_threads\": {intra_threads},");
-    let _ = writeln!(json, "    \"serial_seconds\": {intra_serial:.4},");
-    let _ = writeln!(json, "    \"parallel_seconds\": {intra_parallel:.4},");
-    let _ = writeln!(json, "    \"parallel_speedup\": {intra_speedup:.4},");
-    let _ = writeln!(json, "    \"cycles_match\": true");
     json.push_str("  }\n}\n");
     std::fs::write("BENCH_simspeed.json", &json).expect("write BENCH_simspeed.json");
     println!("\nwrote BENCH_simspeed.json");
