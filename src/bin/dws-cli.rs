@@ -1,39 +1,51 @@
-//! Command-line driver for the DWS simulator.
-//!
-//! ```text
-//! dws-cli list
-//! dws-cli run     --bench Merge --policy revive [options]
-//! dws-cli compare --bench Merge [options]
-//! dws-cli lint    [--kernel <name> | --all] [--deny-warnings] [--json]
-//! dws-cli asm     <kernel.asm> [--threads N] [--mem-kb K] [--policy P] [options]
-//! dws-cli opt     <kernel.asm> --meld [--out FILE] [--deny-warnings] [--quiet]
-//! dws-cli fuzz    [--seeds N] [--seed-start N] [--policy P] [--budget-ms MS]
-//!                 [--max-cycles N] [--minimize] [--json] [--verbose]
-//!
-//! options:
-//!   --scale test|bench|paper   input size            (default bench)
-//!   --wpus N                   WPU count              (default 4)
-//!   --width N                  SIMD width             (default 16)
-//!   --warps N                  warps per WPU          (default 4)
-//!   --slots N                  scheduler slots        (default 2*warps)
-//!   --wst N                    warp-split table size  (default 16)
-//!   --l2-lat CYCLES            L2 lookup latency      (default 30)
-//!   --l1d-kb KB                L1 D-cache capacity    (default 32)
-//!   --assoc N|full             L1 D-cache ways        (default 8)
-//!   --seed N                   workload seed          (default 42)
-//!   --csv                      machine-readable one-line-per-run output
-//! ```
-
-//! Exit codes: 0 success, 1 generic failure (usage, I/O, wrong result),
-//! 3 timeout, 4 deadlock, 5 livelock, 6 host-budget, 7 fuzz-failures-found
-//! — so harnesses can triage a failed run without parsing stderr.
-//! Structured aborts also print their machine-state snapshot
-//! ([`dws::sim::DiagnosticReport`]).
+//! Command-line driver for the DWS simulator. `dws-cli --help` (or
+//! `dws-cli <command> --help`) prints [`USAGE`]: the commands, their
+//! options and the exit codes. Structured aborts also print their
+//! machine-state snapshot ([`dws::sim::DiagnosticReport`]).
 
 use dws::core::Policy;
 use dws::kernels::{Benchmark, Scale};
 use dws::sim::{Machine, SimConfig, SimError};
 use std::process::ExitCode;
+
+/// The full usage text, printed by `--help` / `-h`.
+const USAGE: &str = "\
+usage:
+  dws-cli list
+  dws-cli run     --bench Merge --policy revive [options]
+  dws-cli compare --bench Merge [options]
+  dws-cli lint    [--kernel <name> | --all] [--deny-warnings] [--verbose] [--json]
+  dws-cli asm     <kernel.asm> [--threads N] [--mem-kb K] [--policy P] [options]
+  dws-cli opt     <kernel.asm> --meld [--out FILE] [--deny-warnings] [--quiet]
+  dws-cli fuzz    [--seeds N] [--seed-start N] [--policy P] [--budget-ms MS]
+                  [--max-cycles N] [--max-stmts N] [--minimize] [--json] [--verbose]
+  dws-cli <command> --help
+
+options:
+  --scale test|bench|paper   input size            (default bench)
+  --wpus N                   WPU count              (default 4)
+  --width N                  SIMD width             (default 16)
+  --warps N                  warps per WPU          (default 4)
+  --slots N                  scheduler slots        (default 2*warps)
+  --wst N                    warp-split table size  (default 16)
+  --l2-lat CYCLES            L2 lookup latency      (default 30)
+  --l1d-kb KB                L1 D-cache capacity    (default 32)
+  --assoc N|full             L1 D-cache ways        (default 8)
+  --seed N                   workload seed          (default 42)
+  --csv                      machine-readable one-line-per-run output
+
+`dws-cli list` names the benchmarks and policies.
+
+exit codes: 0 success, 1 generic failure (usage, I/O, wrong result),
+3 timeout, 4 deadlock, 5 livelock, 6 host-budget, 7 fuzz failures found
+";
+
+/// The subcommands `main` dispatches.
+const COMMANDS: [&str; 7] = ["list", "run", "compare", "lint", "asm", "opt", "fuzz"];
+
+fn is_help(arg: &str) -> bool {
+    arg == "--help" || arg == "-h"
+}
 
 /// A CLI failure: a structured simulation abort (distinct exit code, with
 /// the machine-state snapshot printed) or a plain usage/build error.
@@ -261,9 +273,13 @@ fn run_one(o: &Options, policy: Policy, baseline: Option<u64>) -> Result<u64, Cl
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let Some(cmd) = args.first() else {
-        eprintln!("usage: dws-cli <list|run|compare> [options]; see --help in source");
+        eprint!("{USAGE}");
         return ExitCode::FAILURE;
     };
+    if is_help(cmd) || (COMMANDS.contains(&cmd.as_str()) && args[1..].iter().any(|a| is_help(a))) {
+        print!("{USAGE}");
+        return ExitCode::SUCCESS;
+    }
     match cmd.as_str() {
         "list" => {
             println!("benchmarks:");
@@ -372,7 +388,10 @@ fn main() -> ExitCode {
             Err(e) => fail(&e),
         },
         other => {
-            eprintln!("unknown command '{other}' (try list, run, compare, lint, asm, opt, fuzz)");
+            eprintln!(
+                "unknown command '{other}' (try {}, or --help)",
+                COMMANDS.join(", ")
+            );
             ExitCode::FAILURE
         }
     }
@@ -631,8 +650,8 @@ fn run_opt(args: &[String]) -> Result<(), CliError> {
 /// Runs the verifier-guided differential fuzzing campaign: each seed grows
 /// a random verifier-accepted kernel and checks it across the oracle axes
 /// (all scheduling policies vs the reference interpreter, stepped vs
-/// event-driven, parallel vs serial, legacy engine vs µop, chaos vs
-/// zero-fault). `--policy` narrows the policy axis to one named policy;
+/// event-driven, legacy engine vs µop, chaos vs zero-fault, melded vs
+/// unmelded). `--policy` narrows the policy axis to one named policy;
 /// `--minimize` delta-debugs each failure down to a minimal reproducer.
 /// Returns whether the campaign was clean; failures exit with code 7.
 fn run_fuzz(args: &[String]) -> Result<bool, String> {
