@@ -14,13 +14,13 @@ use std::sync::Arc;
 /// and interactive tooling.
 pub struct Machine {
     pub(crate) wpus: Vec<Wpu>,
-    pub(crate) mem: MemorySystem,
-    pub(crate) data: dws_isa::VecMemory,
-    pub(crate) now: Cycle,
-    pub(crate) last_class: Vec<TickClass>,
+    mem: MemorySystem,
+    data: dws_isa::VecMemory,
+    now: Cycle,
+    last_class: Vec<TickClass>,
     /// Reusable completion buffer: [`step`](Self::step) drains into this
     /// instead of allocating a `Vec` every cycle.
-    pub(crate) completions: Vec<dws_mem::Completion>,
+    completions: Vec<dws_mem::Completion>,
 }
 
 impl std::fmt::Debug for Machine {
