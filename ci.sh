@@ -46,10 +46,17 @@ cargo test -q --release --workspace --offline
 
 echo "== golden timing table (named, release) =="
 # The timing model's own output — cycles, instructions, misses, DRAM
-# traffic, splits, merges and WST peak for every benchmark x fuzz policy —
-# must match tests/golden/timing_test.tsv exactly. Every engine-vs-engine
+# traffic, splits, merges, WST peak, MSHR rejections, L1-I fetches and the
+# stall-cycle split for every benchmark x fuzz policy — must match
+# tests/golden/timing_test.tsv exactly. Every engine-vs-engine
 # oracle below would miss a drift that hits both engines at once.
-cargo test -q --release --offline --test golden_timing
+cargo test -q --release --offline --test golden_timing -- --exact timing_model_matches_golden_table
+
+echo "== bench-scale golden timing table (named, release) =="
+# The same columns at Scale::Bench for the BENCH_simspeed.json rows plus
+# Short, whose MSHR back-pressure is heaviest (tests/golden/timing_bench.tsv).
+# Ignored in debug builds, so tier-1 (debug) skips it; this gate runs it.
+cargo test -q --release --offline --test golden_timing -- --exact timing_model_matches_bench_golden_table
 
 echo "== tier-1 equivalence guards (named, release) =="
 # The event-driven run loop and the incremental scheduler must stay

@@ -1,29 +1,38 @@
-//! Golden timing table: the timing model's own output, pinned exactly.
+//! Golden timing tables: the timing model's own output, pinned exactly.
 //!
 //! Every other oracle compares one engine with another (stepped vs event,
 //! µop vs per-lane, policies vs the reference interpreter), so a drift that
-//! hits both sides at once goes unnoticed. This test pins the model itself:
-//! one row per benchmark × fuzz policy at `Scale::Test`, seed 42, on the
-//! paper's Table 3 machine, compared field by field against
-//! `tests/golden/timing_test.tsv`.
+//! hits both sides at once goes unnoticed. These tests pin the model itself
+//! on the paper's Table 3 machine, compared field by field:
 //!
-//! A change that moves any number must say why. Regenerate the table with
+//! * `tests/golden/timing_test.tsv` — every benchmark × fuzz policy at
+//!   `Scale::Test`, seed 42 (tier-1, debug and release);
+//! * `tests/golden/timing_bench.tsv` — the `BENCH_simspeed.json` rows
+//!   (Merge/FFT/SVM × Conv/DWS.ReviveSplit) plus Short, the benchmark that
+//!   saturates the L1 MSHRs hardest, at `Scale::Bench`, seed 42 (release
+//!   only: a debug build takes minutes).
+//!
+//! A change that moves any number must say why. Regenerate both tables with
 //!
 //! ```text
 //! cargo test --release --test golden_timing -- --ignored write_golden
 //! ```
 
+use dws::core::Policy;
 use dws::kernels::{Benchmark, Scale};
 use dws::sim::fuzz::fuzz_policies;
 use dws::sim::{Machine, RunResult, SimConfig};
 
-const GOLDEN: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/timing_test.tsv");
+const GOLDEN_TEST: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/timing_test.tsv");
+const GOLDEN_BENCH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/timing_bench.tsv");
 const SEED: u64 = 42;
 
 /// Column names, in file order. `splits` sums branch, memory and revive
 /// splits; `merges` sums PC, stack and slip merges; `wst_peak` is the
-/// largest per-WPU warp-split-table peak.
-const FIELDS: [&str; 8] = [
+/// largest per-WPU warp-split-table peak. The last four are the counters
+/// the event-driven run loop charges for cycles it skips: MSHR-full
+/// rejections, L1-I fetches, and the two stall classes.
+const FIELDS: [&str; 12] = [
     "cycles",
     "warp_insts",
     "thread_insts",
@@ -32,9 +41,13 @@ const FIELDS: [&str; 8] = [
     "splits",
     "merges",
     "wst_peak",
+    "rejections",
+    "l1i_fetches",
+    "mem_stall_cycles",
+    "idle_cycles",
 ];
 
-fn fields(r: &RunResult) -> [u64; 8] {
+fn fields(r: &RunResult) -> [u64; 12] {
     let w = &r.wpu;
     [
         r.cycles,
@@ -45,15 +58,46 @@ fn fields(r: &RunResult) -> [u64; 8] {
         w.branch_splits.get() + w.mem_splits.get() + w.revive_splits.get(),
         w.pc_merges.get() + w.stack_merges.get() + w.slip_merges.get(),
         r.wst_peaks.iter().copied().max().unwrap_or(0) as u64,
+        r.mem.rejections.get(),
+        r.mem.l1i_fetches.get(),
+        w.mem_stall_cycles.get(),
+        w.idle_cycles.get(),
     ]
 }
 
-/// Simulates the whole grid and renders it as the golden file's text.
-fn render_table() -> String {
+/// The `Scale::Test` grid: every benchmark under every fuzz policy.
+fn test_grid() -> Vec<(Benchmark, Vec<Policy>)> {
+    Benchmark::ALL
+        .into_iter()
+        .map(|b| (b, fuzz_policies()))
+        .collect()
+}
+
+/// The `Scale::Bench` rows: the `BENCH_simspeed.json` throughput rows,
+/// then Short under the baseline and both eager and revive splitting.
+fn bench_grid() -> Vec<(Benchmark, Vec<Policy>)> {
+    let simspeed = || vec![Policy::conventional(), Policy::dws_revive()];
+    vec![
+        (Benchmark::Merge, simspeed()),
+        (Benchmark::Fft, simspeed()),
+        (Benchmark::Svm, simspeed()),
+        (
+            Benchmark::Short,
+            vec![
+                Policy::conventional(),
+                Policy::dws_aggress(),
+                Policy::dws_revive(),
+            ],
+        ),
+    ]
+}
+
+/// Simulates `grid` at `scale` and renders it as a golden file's text.
+fn render_table(scale: Scale, grid: &[(Benchmark, Vec<Policy>)]) -> String {
     let mut out = format!("bench\tpolicy\t{}\n", FIELDS.join("\t"));
-    for bench in Benchmark::ALL {
-        let spec = bench.build(Scale::Test, SEED);
-        for policy in fuzz_policies() {
+    for (bench, policies) in grid {
+        let spec = bench.build(scale, SEED);
+        for &policy in policies {
             let name = policy.paper_name();
             let r = Machine::run(&SimConfig::paper(policy), &spec)
                 .unwrap_or_else(|e| panic!("{bench} under {name} failed: {e}"));
@@ -68,6 +112,15 @@ fn render_table() -> String {
         }
     }
     out
+}
+
+/// Compares a freshly simulated table against the golden file at `path`.
+fn check_golden(path: &str, actual: &str) {
+    let golden = std::fs::read_to_string(path)
+        .unwrap_or_else(|e| panic!("cannot read {path}: {e} (run the ignored write_golden test)"));
+    if let Some(diff) = first_difference(&golden, actual) {
+        panic!("timing model drifted from {path}: {diff}");
+    }
 }
 
 /// The first difference between two tables, naming the row and field.
@@ -106,13 +159,13 @@ fn first_difference(golden: &str, actual: &str) -> Option<String> {
 
 #[test]
 fn timing_model_matches_golden_table() {
-    let golden = std::fs::read_to_string(GOLDEN).unwrap_or_else(|e| {
-        panic!("cannot read {GOLDEN}: {e} (run the ignored write_golden test)")
-    });
-    let actual = render_table();
-    if let Some(diff) = first_difference(&golden, &actual) {
-        panic!("timing model drifted from {GOLDEN}: {diff}");
-    }
+    check_golden(GOLDEN_TEST, &render_table(Scale::Test, &test_grid()));
+}
+
+#[test]
+#[cfg_attr(debug_assertions, ignore = "Scale::Bench grid: release builds only")]
+fn timing_model_matches_bench_golden_table() {
+    check_golden(GOLDEN_BENCH, &render_table(Scale::Bench, &bench_grid()));
 }
 
 #[test]
@@ -130,9 +183,10 @@ fn golden_diff_names_row_and_field() {
         .contains("not produced"));
 }
 
-/// Rewrites the golden file from the current model.
+/// Rewrites both golden files from the current model.
 #[test]
-#[ignore = "regenerates tests/golden/timing_test.tsv"]
+#[ignore = "regenerates tests/golden/timing_{test,bench}.tsv"]
 fn write_golden() {
-    std::fs::write(GOLDEN, render_table()).unwrap();
+    std::fs::write(GOLDEN_TEST, render_table(Scale::Test, &test_grid())).unwrap();
+    std::fs::write(GOLDEN_BENCH, render_table(Scale::Bench, &bench_grid())).unwrap();
 }
