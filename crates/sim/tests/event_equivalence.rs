@@ -7,6 +7,7 @@
 
 use dws_core::Policy;
 use dws_kernels::{Benchmark, Scale};
+use dws_sim::fuzz::fuzz_policies;
 use dws_sim::{Machine, RunResult, SimConfig};
 
 fn by_step(cfg: &SimConfig, spec: &dws_kernels::KernelSpec) -> RunResult {
@@ -28,6 +29,8 @@ fn assert_equivalent(a: &RunResult, b: &RunResult, what: &str) {
     );
     assert_eq!(a.mem, b.mem, "{what}: memory-system stats");
     assert_eq!(a.per_wpu, b.per_wpu, "{what}: per-WPU stats");
+    assert_eq!(a.wpu, b.wpu, "{what}: aggregate WPU stats");
+    assert_eq!(a.energy, b.energy, "{what}: energy");
 }
 
 /// Non-adaptive policies on two-WPU machines: WPUs stall at different
@@ -86,4 +89,29 @@ fn run_matches_step_on_paper_machine() {
     spec.verify(&run.memory).unwrap();
     let step = by_step(&cfg, &spec);
     assert_equivalent(&run, &step, "filter on the 4-WPU paper machine");
+}
+
+/// Short saturates the L1 MSHRs (several rejections per warp access), so
+/// groups spend long stretches blocked on MSHR back-pressure. The run loop
+/// sleeps such a WPU until its L1 can accept and charges the skipped
+/// retries lazily (rejections, L1-I fetches, the round-robin cursor); the
+/// stepped machine retries every cycle. Every policy must agree exactly.
+#[test]
+fn mshr_spinning_run_matches_step_under_every_policy() {
+    let spec = Benchmark::Short.build(Scale::Test, 42);
+    for policy in fuzz_policies() {
+        let cfg = SimConfig::paper(policy);
+        let run = Machine::run(&cfg, &spec).unwrap();
+        spec.verify(&run.memory).unwrap();
+        assert!(
+            run.mem.rejections.get() > 0,
+            "Short must hit MSHR back-pressure"
+        );
+        let step = by_step(&cfg, &spec);
+        assert_equivalent(
+            &run,
+            &step,
+            &format!("Short under {} on the paper machine", policy.paper_name()),
+        );
+    }
 }
