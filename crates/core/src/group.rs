@@ -72,10 +72,14 @@ pub struct Group {
     /// uniform loop) now share a group — the warp's uniform-branch fast
     /// path is then disabled.
     pub spine_trips: u64,
-    /// Structural-stall memo: `(pc, mask, l1 generation)` of the last
-    /// rejected memory access. While the group spins on full MSHRs its
-    /// registers cannot change, so an identical attempt against an
-    /// unchanged L1 generation is re-rejected without re-probing the cache.
+    /// Structural-stall memo: `(pc, mask, release count)` of the last
+    /// rejected memory access, where the count is the L1's MSHR releases
+    /// at which a re-probe could first be accepted (releases at rejection
+    /// plus the reported deficit). While the group waits on full MSHRs its
+    /// registers cannot change, so an identical attempt before that count
+    /// is re-rejected without re-probing the cache. Cleared when the
+    /// group's access is accepted: a group that loops back to the same
+    /// `(pc, mask)` with new addresses must probe again.
     pub reject_memo: Option<(usize, Mask, u64)>,
 }
 
@@ -97,6 +101,13 @@ impl Group {
             spine_trips: 0,
             reject_memo: None,
         }
+    }
+
+    /// Whether the reject memo still holds for the group's current
+    /// `(pc, mask)` at an L1 that has released `releases` MSHRs so far.
+    pub fn memo_blocks(&self, releases: u64) -> bool {
+        self.reject_memo
+            .is_some_and(|(pc, mask, at)| pc == self.pc && mask == self.mask && releases < at)
     }
 
     /// Whether the group can issue at `now`.

@@ -153,6 +153,19 @@ struct IssueScratch {
     miss_lines: Vec<u64>,
 }
 
+/// Groups left spinning on MSHR back-pressure by the last stalled
+/// [`Wpu::tick`], recorded when the WPU published a wake later than the
+/// next cycle so [`Wpu::account_skipped_stall`] can charge each skipped
+/// tick what it would have done (see [`Wpu::park_spinners`]).
+#[derive(Debug, Clone, Copy, Default)]
+struct MshrSleep {
+    /// Memo-blocked groups each skipped tick would have retried.
+    groups: u64,
+    /// The round-robin cursor after one such tick: one past the blocked
+    /// group that comes last in round-robin order.
+    cursor: usize,
+}
+
 /// A warp processing unit.
 pub struct Wpu {
     cfg: WpuConfig,
@@ -218,6 +231,11 @@ pub struct Wpu {
     /// by result collection (see [`Self::icache_counters`]).
     l1i_fetches: u64,
     l1i_misses: u64,
+    /// MSHR-full rejections replayed by ticks the run loop skipped, merged
+    /// into the machine-wide memory stats like the L1-I counters.
+    skipped_rejections: u64,
+    /// See [`MshrSleep`]; reset at the start of every tick.
+    mshr_sleep: MshrSleep,
     /// Per-PC verifier classification: `true` where the instruction is a
     /// conditional branch whose condition provably does not depend on the
     /// thread id (so lanes at the same spine position agree). See
@@ -336,6 +354,8 @@ impl Wpu {
                 .then(|| cfg.l1i.line_bytes.trailing_zeros()),
             l1i_fetches: 0,
             l1i_misses: 0,
+            skipped_rejections: 0,
+            mshr_sleep: MshrSleep::default(),
             uniform_branch: uniformity.uniform,
             spine_branch: uniformity.spine,
             uniform_poisoned: vec![false; cfg.n_warps],
@@ -455,20 +475,30 @@ impl Wpu {
         self.wst.capacity()
     }
 
-    /// The earliest future cycle at which a currently-ready group becomes
-    /// issuable, if any. Together with the memory system's next completion
-    /// time, this lets the run loop skip over fully-stalled stretches.
-    pub fn next_wake_at(&self, now: Cycle) -> Option<Cycle> {
+    /// The earliest future cycle at which a currently-ready group can do
+    /// anything but replay an MSHR rejection, by slab scan: the reference
+    /// for the wake time a stalled [`tick`](Self::tick) caches. A group
+    /// due next cycle whose reject memo still blocks it waits for the next
+    /// fill at this WPU's L1 (the next MSHR release), or keeps spinning
+    /// when no fill is pending.
+    fn next_wake_at(&self, now: Cycle, mem: &MemorySystem) -> Option<Cycle> {
+        let releases = mem.l1_releases(self.cfg.id);
+        let fill = mem.next_completion_at_l1(self.cfg.id);
         self.groups
             .iter()
             .flatten()
             .filter(|g| g.slotted && g.status == GroupStatus::Ready)
-            .map(|g| g.ready_at.max(now))
+            .map(|g| match fill {
+                Some(f) if g.ready_at == now + 1 && g.memo_blocks(releases) => f,
+                _ => g.ready_at.max(now),
+            })
             .min()
     }
 
     /// The wake time computed by the most recent stalled
-    /// [`tick`](Self::tick), without rescanning the group list. Only
+    /// [`tick`](Self::tick), without rescanning the group list: the
+    /// earliest ready time of its slotted ready groups, except that groups
+    /// blocked on full MSHRs wait for the next fill at this WPU's L1. Only
     /// meaningful directly after a tick that returned
     /// [`TickClass::StallMem`], [`TickClass::Idle`] or [`TickClass::Done`]:
     /// a `Busy` tick leaves the cache stale (the run loop never consults it
@@ -503,13 +533,31 @@ impl Wpu {
         (self.l1i_fetches, self.l1i_misses)
     }
 
-    /// Accounts `n` additional stall cycles of the same class as the last
-    /// tick (used when the run loop skips ahead over a stalled stretch).
+    /// MSHR-full rejections charged by
+    /// [`account_skipped_stall`](Self::account_skipped_stall) for ticks
+    /// the run loop skipped, merged into the machine-wide memory
+    /// statistics by result collection.
+    pub fn skipped_rejections(&self) -> u64 {
+        self.skipped_rejections
+    }
+
+    /// Accounts `n` skipped ticks after a stalled tick of class `class`
+    /// (used when the run loop skips ahead over a stalled stretch). Each
+    /// skipped tick would have repeated that classification and retried
+    /// every group the tick left blocked on full MSHRs: one L1-I fetch and
+    /// one rejection per blocked group, ending with the round-robin cursor
+    /// one past the last of them.
     pub fn account_skipped_stall(&mut self, n: u64, class: TickClass) {
         match class {
             TickClass::StallMem => self.stats.mem_stall_cycles.add(n),
             TickClass::Idle => self.stats.idle_cycles.add(n),
             TickClass::Busy | TickClass::Done => {}
+        }
+        let retries = self.mshr_sleep.groups * n;
+        if retries > 0 {
+            self.l1i_fetches += retries;
+            self.skipped_rejections += retries;
+            self.rr_cursor = self.mshr_sleep.cursor;
         }
     }
 
@@ -637,10 +685,53 @@ impl Wpu {
         }
     }
 
+    /// Publishes a later wake than `now + 1` when every group due next
+    /// cycle is blocked by its reject memo. Such a group cannot be accepted
+    /// before the next MSHR release at this L1, which only a fill brings,
+    /// so until the next fill (or another group's earlier wake) each tick
+    /// would just replay the same rejections. Records what those ticks
+    /// would have charged in [`MshrSleep`]. With no fill pending the groups
+    /// keep spinning at `now + 1`, so a true livelock still trips the
+    /// watchdog. Called at the end of a stalled tick whose cached wake is
+    /// `now + 1`.
+    fn park_spinners(&mut self, now: Cycle, mem: &MemorySystem) {
+        let Some(fill) = mem.next_completion_at_l1(self.cfg.id) else {
+            return;
+        };
+        let releases = mem.l1_releases(self.cfg.id);
+        let cursor = self.rr_cursor;
+        let mut wake = fill;
+        let mut blocked = 0;
+        // The blocked group a tick picks last: the highest index below the
+        // cursor, else the highest at or above it.
+        let mut last = 0;
+        for (i, g) in self.groups.iter().enumerate() {
+            let Some(g) = g else { continue };
+            if !g.slotted || g.status != GroupStatus::Ready {
+                continue;
+            }
+            if g.ready_at == now + 1 && g.memo_blocks(releases) {
+                if blocked == 0 || i < cursor || last >= cursor {
+                    last = i;
+                }
+                blocked += 1;
+            } else {
+                wake = wake.min(g.ready_at);
+            }
+        }
+        if blocked > 0 {
+            self.next_wake = Some(wake);
+            self.mshr_sleep = MshrSleep {
+                groups: blocked,
+                cursor: (last + 1) % self.groups.len(),
+            };
+        }
+    }
+
     /// Invariant check (debug builds and `DWS_SANITIZE=1`): the
     /// incremental counters, the ready ring, and the cached wake time must
     /// agree with a fresh slab scan.
-    fn assert_sched_sync(&self, now: Cycle) {
+    fn assert_sched_sync(&self, now: Cycle, mem: &MemorySystem) {
         let mut n_slotted = 0;
         let mut n_slotted_ready = 0;
         let mut n_wait_mem = 0;
@@ -678,7 +769,7 @@ impl Wpu {
         }
         assert_eq!(
             self.next_wake,
-            self.next_wake_at(now),
+            self.next_wake_at(now, mem),
             "next_wake drift at {now}"
         );
     }
@@ -882,6 +973,7 @@ impl Wpu {
         mem: &mut MemorySystem,
         data: &mut dyn MemoryAccess,
     ) -> TickClass {
+        self.mshr_sleep = MshrSleep::default();
         if self.done() {
             self.next_wake = None;
             return TickClass::Done;
@@ -978,10 +1070,15 @@ impl Wpu {
         // The incremental counters classify the stall, and the pending heap
         // yields the earliest wake time — no slab rescan. At this point the
         // ready ring is empty (pick_group returned None), so every slotted
-        // ready group sits in the heap at a strictly future cycle.
+        // ready group sits in the heap at a strictly future cycle. Groups
+        // rejected for lack of MSHRs sit there at `now + 1`; if they are
+        // all that is due, sleep until their L1 can accept.
         self.refresh_next_wake();
+        if self.next_wake == Some(now + 1) {
+            self.park_spinners(now, mem);
+        }
         if self.check_oracle {
-            self.assert_sched_sync(now);
+            self.assert_sched_sync(now, mem);
         }
         if self.n_wait_mem > 0 {
             self.stats.mem_stall_cycles.incr();
@@ -1878,11 +1975,12 @@ impl Wpu {
         let warp = self.group(gid).warp;
         let mask = self.group(gid).mask;
 
-        // Structural-stall memo: while the group spins on full MSHRs its
-        // registers are frozen, so the same `(pc, mask)` against an
-        // unchanged L1 generation decodes to the same addresses and must be
-        // rejected again — skip the per-lane decode and cache probe.
-        if self.group(gid).reject_memo == Some((pc, mask, mem.l1_generation(self.cfg.id))) {
+        // Structural-stall memo: while the group waits on full MSHRs its
+        // registers are frozen, so the same `(pc, mask)` decodes to the
+        // same addresses, and the access cannot be accepted before its
+        // L1 has released the deficit it reported — replay the rejection
+        // without the per-lane decode and cache probe.
+        if self.group(gid).memo_blocks(mem.l1_releases(self.cfg.id)) {
             mem.count_repeat_rejection();
             let g = self.group_mut(gid);
             g.ready_at = now + 1;
@@ -1965,12 +2063,11 @@ impl Wpu {
         }));
 
         let issued = 'body: {
-            if !mem.warp_access_into(now, self.cfg.id, &accesses, &mut outcomes) {
+            if let Err(deficit) = mem.warp_access_into(now, self.cfg.id, &accesses, &mut outcomes) {
                 // MSHRs exhausted: structural stall; retry this group
-                // shortly while other groups issue. Rejection leaves the L1
-                // untouched, so the generation read here stays valid for
-                // the memo until something mutates the L1.
-                let memo = Some((pc, mask, mem.l1_generation(self.cfg.id)));
+                // shortly while other groups issue. No re-probe can be
+                // accepted before `deficit` more MSHR releases.
+                let memo = Some((pc, mask, mem.l1_releases(self.cfg.id) + deficit));
                 let g = self.group_mut(gid);
                 g.reject_memo = memo;
                 g.ready_at = now + 1;
@@ -1978,6 +2075,9 @@ impl Wpu {
                 self.current = None;
                 break 'body false;
             }
+            // Accepted: a later visit to this `(pc, mask)` (a loop) has new
+            // addresses and must probe.
+            self.group_mut(gid).reject_memo = None;
 
             self.stats.on_issue(mask.count());
             match op {

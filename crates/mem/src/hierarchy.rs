@@ -99,11 +99,10 @@ struct L1 {
     /// Mirror of this L1's outstanding fill times (a per-L1 view of the
     /// global event list), so the run loop can wake one WPU at a time.
     fills: WakeHeap<()>,
-    /// Bumped on every array/MSHR mutation. An identical warp access
-    /// re-attempted against an unchanged generation must reach the same
-    /// accept/reject decision, so rejected groups can skip the re-probe
-    /// while they spin on full MSHRs ([`MemorySystem::l1_generation`]).
-    gen: u64,
+    /// MSHR entries released (fills drained) so far. A rejected access
+    /// cannot be accepted before its deficit's worth of further releases
+    /// ([`MemorySystem::l1_releases`]).
+    releases: u64,
 }
 
 struct L2 {
@@ -233,7 +232,7 @@ impl MemorySystem {
                 array: CacheArray::new(&cfg.l1d),
                 mshrs: MshrFile::new(cfg.l1d.mshrs, cfg.l1d.mshr_targets),
                 fills: WakeHeap::new(),
-                gen: 0,
+                releases: 0,
             })
             .collect();
         let l2 = L2 {
@@ -290,7 +289,7 @@ impl MemorySystem {
     /// Presents one warp memory instruction (the active lanes' addresses)
     /// to L1 `l1`. Returns per-lane outcomes in input order, or `None` if
     /// MSHR resources are exhausted — the WPU must retry the instruction
-    /// next cycle (no state is modified in that case).
+    /// later (no state is modified in that case).
     ///
     /// # Panics
     ///
@@ -303,14 +302,26 @@ impl MemorySystem {
     ) -> Option<Vec<LaneOutcome>> {
         let mut out = Vec::new();
         self.warp_access_into(now, l1, accesses, &mut out)
-            .then_some(out)
+            .ok()
+            .map(|()| out)
     }
 
     /// Allocation-free form of [`warp_access`](Self::warp_access): outcomes
     /// are written into the caller-owned `out` (cleared first, then one
-    /// entry per access in input order). Returns `false` — with `out` left
-    /// empty and no state modified — when MSHR resources are exhausted and
-    /// the WPU must retry next cycle.
+    /// entry per access in input order).
+    ///
+    /// # Errors
+    ///
+    /// When MSHR resources are exhausted, returns the access's *deficit*,
+    /// with `out` left empty and no state modified: 1 when a merge target
+    /// list is full, otherwise the fresh MSHRs needed minus the free ones,
+    /// at least 1. In a fault-free run the same access cannot be accepted
+    /// before that many more MSHR releases at `l1`
+    /// ([`l1_releases`](Self::l1_releases)): other accesses to this L1
+    /// never lower the deficit (an allocation for a line this access also
+    /// misses turns one fresh miss into a merge but uses up a free MSHR),
+    /// invalidations and evictions only raise it (a hit turns into a
+    /// miss), and each release lowers it by at most one.
     ///
     /// # Panics
     ///
@@ -321,7 +332,7 @@ impl MemorySystem {
         l1: usize,
         accesses: &[LaneAccess],
         out: &mut Vec<LaneOutcome>,
-    ) -> bool {
+    ) -> Result<(), u64> {
         assert!(!accesses.is_empty(), "warp access with no lanes");
         assert!(l1 < self.l1s.len(), "L1 index out of range");
         out.clear();
@@ -377,15 +388,16 @@ impl MemorySystem {
 
         // Fault injection: transiently withhold MSHR entries, forcing
         // spurious back-pressure rejections. Only while fills are already
-        // outstanding (`in_use > 0`): an outstanding fill guarantees the
-        // L1 generation will bump, expiring the caller's rejection memo
-        // and forcing a fresh draw, so forward progress is preserved.
+        // outstanding (`in_use > 0`): an outstanding fill guarantees a
+        // release, which expires the caller's rejection memo and forces a
+        // fresh draw, so forward progress is preserved. Withheld entries
+        // are left out of the reported deficit for the same reason.
         let withheld = match &mut self.fault {
             Some(f) if self.l1s[l1].mshrs.in_use() > 0 => f.mshr_withhold(),
             _ => 0,
         };
 
-        let accepted = 'body: {
+        let outcome = 'body: {
             // Feasibility check (no mutation): count fresh MSHRs needed and
             // verify merge capacity. The tag lookup records the hit way so
             // the apply pass can replay the probe without re-scanning.
@@ -403,17 +415,16 @@ impl MemorySystem {
                         Some(id) => {
                             if !l1c.mshrs.can_merge(id, s.group_count[g] as usize) {
                                 self.stats.rejections.incr();
-                                break 'body false;
+                                break 'body Err(1);
                             }
                         }
                         None => fresh_needed += 1,
                     }
                 }
-                if fresh_needed
-                    > (l1c.mshrs.capacity() - l1c.mshrs.in_use()).saturating_sub(withheld)
-                {
+                let free = l1c.mshrs.capacity() - l1c.mshrs.in_use();
+                if fresh_needed > free.saturating_sub(withheld) {
                     self.stats.rejections.incr();
-                    break 'body false;
+                    break 'body Err(fresh_needed.saturating_sub(free).max(1) as u64);
                 }
             }
 
@@ -526,17 +537,14 @@ impl MemorySystem {
                     };
                 }
             }
-            // Accepted accesses mutate this L1 (MSHR allocations/merges,
-            // MESI upgrades, recency), so retry memos against it expire.
-            self.l1s[l1].gen += 1;
-            true
+            Ok(())
         };
 
         self.scratch = s;
-        if !accepted {
+        if outcome.is_err() {
             out.clear();
         }
-        accepted
+        outcome
     }
 
     /// Handles an L1 miss at the L2/directory, returning the cycle at which
@@ -591,11 +599,9 @@ impl MemorySystem {
                     }
                     if exclusive {
                         self.l1s[o].array.invalidate(line);
-                        self.l1s[o].gen += 1;
                         self.stats.invalidations.incr();
                     } else if prev.valid() {
                         self.l1s[o].array.set_state(line, MesiState::Shared);
-                        self.l1s[o].gen += 1;
                     }
                 }
             }
@@ -618,7 +624,6 @@ impl MemorySystem {
                     for o in 0..self.l1s.len() {
                         if sharers & (1 << o) != 0 {
                             self.l1s[o].array.invalidate(line);
-                            self.l1s[o].gen += 1;
                             self.stats.invalidations.incr();
                         }
                     }
@@ -685,7 +690,6 @@ impl MemorySystem {
                 for o in 0..self.l1s.len() {
                     if others & (1 << o) != 0 {
                         let prev = self.l1s[o].array.invalidate(line);
-                        self.l1s[o].gen += 1;
                         self.stats.invalidations.incr();
                         if prev == MesiState::Modified {
                             self.stats.l1_writebacks.incr();
@@ -707,7 +711,6 @@ impl MemorySystem {
         for o in 0..self.l1s.len() {
             if entry.sharers & (1 << o) != 0 {
                 let prev = self.l1s[o].array.invalidate(line);
-                self.l1s[o].gen += 1;
                 self.stats.invalidations.incr();
                 if prev == MesiState::Modified {
                     dirty = true;
@@ -746,7 +749,7 @@ impl MemorySystem {
                 assert_eq!(mirrored.map(|(t, ())| t), Some(at), "fill mirror drift");
             }
             let mut entry = self.l1s[l1].mshrs.release(mshr_id);
-            self.l1s[l1].gen += 1;
+            self.l1s[l1].releases += 1;
             let line = entry.line_addr;
             // Decide the install state from the directory at fill time.
             let state = if entry.exclusive {
@@ -811,13 +814,13 @@ impl MemorySystem {
         self.l1s[l1].fills.next_at()
     }
 
-    /// Mutation generation of L1 `l1`. Strictly increases on every change
-    /// to that L1's array or MSHR file. A warp access re-attempted with the
-    /// same lanes against the same generation must reach the same
-    /// accept/reject decision, which lets a structurally-stalled group
-    /// cache its rejection instead of re-probing every cycle.
-    pub fn l1_generation(&self, l1: usize) -> u64 {
-        self.l1s[l1].gen
+    /// MSHR entries released at L1 `l1` so far. Together with the deficit
+    /// a rejected [`warp_access_into`](Self::warp_access_into) reports,
+    /// this tells a structurally-stalled group the earliest release count
+    /// at which a re-probe could be accepted, so it can replay its
+    /// rejection instead of re-probing every cycle.
+    pub fn l1_releases(&self, l1: usize) -> u64 {
+        self.l1s[l1].releases
     }
 
     /// Records a rejection replayed from a caller's memo without re-running
@@ -1115,6 +1118,40 @@ mod tests {
             last
         };
         assert!(m.warp_access(t, 0, &[load(0, 0x2000)]).is_some());
+    }
+
+    #[test]
+    fn rejection_reports_release_deficit() {
+        let mut cfg = MemConfig::paper(1, 16);
+        cfg.l1d.mshrs = 2;
+        cfg.l1d.mshr_targets = 1;
+        let mut m = MemorySystem::new(cfg);
+        let mut out = Vec::new();
+        m.warp_access(Cycle(0), 0, &[load(0, 0x0)]).unwrap();
+        m.warp_access(Cycle(0), 0, &[load(0, 0x1000)]).unwrap();
+        // Two fresh lines against zero free MSHRs: two releases short.
+        let two_fresh = [load(0, 0x2000), load(1, 0x3000)];
+        assert_eq!(
+            m.warp_access_into(Cycle(1), 0, &two_fresh, &mut out),
+            Err(2)
+        );
+        assert!(out.is_empty());
+        // A full merge target list needs that entry's own release.
+        let merge = [load(0, 0x8)];
+        assert_eq!(m.warp_access_into(Cycle(1), 0, &merge, &mut out), Err(1));
+        assert_eq!(m.stats().rejections.get(), 2);
+
+        assert_eq!(m.l1_releases(0), 0);
+        let first = m.next_completion_at().unwrap();
+        m.drain_completions(first);
+        assert_eq!(m.l1_releases(0), 1);
+        let at = first + 1;
+        assert_eq!(m.warp_access_into(at, 0, &two_fresh, &mut out), Err(1));
+        let second = m.next_completion_at().unwrap();
+        m.drain_completions(second);
+        assert_eq!(m.l1_releases(0), 2);
+        assert_eq!(m.warp_access_into(second, 0, &two_fresh, &mut out), Ok(()));
+        assert_eq!(out.len(), 2);
     }
 
     #[test]

@@ -127,18 +127,21 @@ impl Machine {
     /// Event-driven: each WPU carries its own wakeup time (the wake time it
     /// cached during its last stalled tick, or the next fill completion
     /// destined for its L1), and the loop only processes cycles at which
-    /// some WPU is due. Cycles a WPU sleeps through are charged lazily via
-    /// [`Wpu::account_skipped_stall`] in the class of its last tick — valid
-    /// because a stalled WPU's state is frozen between external events, so
-    /// the ticks it skips would all have repeated that classification. The
-    /// result is bit-identical to stepping [`Machine::step`] cycle by
-    /// cycle.
+    /// some WPU is due. A WPU whose only due groups are blocked on full
+    /// MSHRs sleeps until the next fill at its L1, since no MSHR can free
+    /// before then. Cycles a WPU sleeps through are charged lazily via
+    /// [`Wpu::account_skipped_stall`]: the class of its last tick, plus the
+    /// rejections and L1-I fetches of the MSHR retries those ticks would
+    /// have replayed — valid because a stalled WPU's state is frozen
+    /// between external events, so the ticks it skips would all have
+    /// repeated its last tick. The result is bit-identical to stepping
+    /// [`Machine::step`] cycle by cycle.
     ///
-    /// Adaptive policies ([`Policy::is_adaptive`]) sample cycle counters on
-    /// an absolute-cycle cadence; each WPU publishes its next adaptation
-    /// boundary ([`Wpu::next_adapt_boundary`]) and the loop guarantees a
-    /// tick at (or before) that cycle, so event-driven sleeping never skips
-    /// a boundary and adaptive machines no longer force per-cycle lockstep.
+    /// Adaptive policies (slip, the adaptive throttle) sample cycle
+    /// counters on an absolute-cycle cadence; each WPU publishes its next
+    /// adaptation boundary ([`Wpu::next_adapt_boundary`]) and the loop
+    /// guarantees a tick at (or before) that cycle, so event-driven
+    /// sleeping never skips a boundary.
     ///
     /// # Errors
     ///
@@ -443,8 +446,9 @@ mod tests {
         // Every lane of a 16-wide warp touches a distinct line, so one warp
         // access wants 16 fresh MSHRs; with a single-entry MSHR file and
         // nothing in flight the structural reject can never drain. Cycles
-        // keep advancing (the group retries at `now + 1`) but nothing
-        // retires — a livelock, not a deadlock.
+        // keep advancing (with no fill pending, the group cannot sleep
+        // until a release and retries at `now + 1`) but nothing retires —
+        // a livelock, not a deadlock.
         let mut b = KernelBuilder::new();
         let tid = b.tid();
         let a = b.reg();

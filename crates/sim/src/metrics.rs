@@ -40,12 +40,14 @@ impl RunResult {
             agg.merge(s);
         }
         let mut mem_stats = mem.stats();
-        // The L1-I arrays live inside the WPUs; fold their counters back
+        // The L1-I arrays live inside the WPUs, and rejections replayed by
+        // ticks the run loop skipped are charged there too; fold both back
         // into the memory-system view the energy model and reports consume.
         for w in wpus {
             let (fetches, misses) = w.icache_counters();
             mem_stats.l1i_fetches.add(fetches);
             mem_stats.l1i_misses.add(misses);
+            mem_stats.rejections.add(w.skipped_rejections());
         }
         let energy = dws_energy::compute(
             &EnergyModel::paper_65nm(),
