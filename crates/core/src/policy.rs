@@ -250,22 +250,6 @@ impl Policy {
         matches!(self, Policy::Dws(_))
     }
 
-    /// Whether the policy adapts itself from per-interval cycle statistics
-    /// (adaptive slip, duty-cycle throttling). Such controllers sample
-    /// counters at fixed interval boundaries; each WPU publishes its next
-    /// boundary as a wake event (`Wpu::next_adapt_boundary`), so the run
-    /// loop sleeps through event gaps exactly as it does for every other
-    /// policy — waking for the boundary like it would for a memory
-    /// completion — instead of holding adaptive machines in per-cycle
-    /// lockstep.
-    pub fn is_adaptive(&self) -> bool {
-        match self {
-            Policy::Slip(_) => true,
-            Policy::Dws(c) => c.adaptive_throttle,
-            Policy::Conventional => false,
-        }
-    }
-
     /// The paper's display name for the configuration.
     pub fn paper_name(&self) -> &'static str {
         match self {
