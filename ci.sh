@@ -104,6 +104,13 @@ DWS_WATCHDOG_LIVELOCK=200000 DWS_WATCHDOG_HOST_MS=60000 \
 cmp fuzz_smoke_a.json fuzz_smoke_b.json
 rm -f fuzz_smoke_a.json fuzz_smoke_b.json
 
+echo "== benchmark self-test (perfbench, named) =="
+# One untraced and one traced pass of every BENCHMARK.json workload: each
+# job must verify, the model fingerprint must agree across passes, and the
+# metric names and units must match BENCHMARK.json. perfbench is its own
+# Cargo workspace, so this also proves it still builds against the crates.
+cargo run -q --release --offline --manifest-path perfbench/Cargo.toml -- --self-test
+
 echo "== DWS_SANITIZE=1 release smoke run =="
 # One paper-scale simulation with the debug-only scheduler-sync and
 # µop-oracle checks promoted into the release binary.
